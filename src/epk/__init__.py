@@ -9,8 +9,7 @@ from .frames import (FramePropertyReport, check_properties, classify_model,
 from .model import (KripkeModel, ModelError, StateId, prune_unreachable,
                     reachable_from, replicate_with_lineage, subjective_relation,
                     successors)
-from .semantics import (EvalContext, holds_at, holds_for_agent, holds_globally,
-                        presence_at)
+from .semantics import holds_at, holds_for_agent, holds_globally, presence_at, sat
 from .serialize import (DocumentError, doc_to_model, dumps_dot, dumps_model,
                         export_dot, load_model, model_to_doc, save_model)
 from .updates import (UpdateResult, UpdateSpec, apply_update, lie_offline,
@@ -22,7 +21,7 @@ __all__ = [
     "FramePropertyReport", "check_properties", "classify_model", "is_kd45", "is_s5",
     "KripkeModel", "ModelError", "StateId", "prune_unreachable", "reachable_from",
     "replicate_with_lineage", "subjective_relation", "successors",
-    "EvalContext", "holds_at", "holds_for_agent", "holds_globally", "presence_at",
+    "holds_at", "holds_for_agent", "holds_globally", "presence_at", "sat",
     "DocumentError", "doc_to_model", "dumps_dot", "dumps_model", "export_dot",
     "load_model", "model_to_doc", "save_model",
     "UpdateResult", "UpdateSpec", "apply_update", "lie_offline", "lie_online",

@@ -15,7 +15,8 @@ Grammar (ASCII):
     ident       := [A-Za-z_][A-Za-z0-9_]*
 
 `B`, `C`, `P` act as keywords only when immediately followed by "[";
-otherwise they are ordinary proposition names.
+otherwise they are ordinary proposition names.  Runs of `~` and `B[i]`
+may be of any length; parentheses nest at most `MAX_PAREN_DEPTH` deep.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ class PossibleAgent:
 
 Formula = Union[Prop, Not, And, Or, Implies, Believes, CertainAgent, PossibleAgent]
 
+# Each open parenthesis costs the parser a few stack frames.
+MAX_PAREN_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"\s*(->|[~&|()\[\],]|[A-Za-z_][A-Za-z0-9_]*)")
 
 
@@ -104,6 +108,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # parentheses currently open
 
     def peek(self) -> str:
         return self.tokens[self.i][0]
@@ -130,11 +135,14 @@ class _Parser:
         return self.advance()
 
     def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
+        parts = [self.disjunction()]
+        while self.peek() == "->":
             self.advance()
-            return Implies(left, self.formula())
-        return left
+            parts.append(self.disjunction())
+        f = parts.pop()
+        while parts:  # "->" associates to the right
+            f = Implies(parts.pop(), f)
+        return f
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
@@ -151,22 +159,40 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
+        # Runs of prefix operators are read in a loop, so they may be of
+        # any length; only parentheses recurse, and their depth is capped.
+        prefixes = []
+        while True:
+            if self.peek() == "~":
+                self.advance()
+                prefixes.append(None)
+            elif self.peek() == "B" and self.tokens[self.i + 1][0] == "[":
+                self.advance()
+                self.expect("[")
+                prefixes.append(self.ident())
+                self.expect("]")
+            else:
+                break
+        f = self.atom()
+        for agent in reversed(prefixes):
+            f = Not(f) if agent is None else Believes(agent, f)
+        return f
+
+    def atom(self) -> Formula:
         tok = self.peek()
-        if tok == "~":
-            self.advance()
-            return Not(self.unary())
         if tok == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested more than {MAX_PAREN_DEPTH} deep", self.pos())
             self.advance()
+            self.depth += 1
             f = self.formula()
             self.expect(")")
+            self.depth -= 1
             return f
-        if tok in ("B", "C", "P") and self.tokens[self.i + 1][0] == "[":
+        if tok in ("C", "P") and self.tokens[self.i + 1][0] == "[":
             self.advance()
             self.expect("[")
             first = self.ident()
-            if tok == "B":
-                self.expect("]")
-                return Believes(first, self.unary())
             self.expect(",")
             second = self.ident()
             self.expect("]")

@@ -3,14 +3,15 @@
 the update operators are built from.
 
 Models are immutable values: every operation returns a new model and never
-mutates its input.
+mutates its input.  That lets each model build its `ModelIndex` once, on
+first use, and keep it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 Agent = str
 Prop = str
@@ -109,9 +110,18 @@ class KripkeModel:
 
     @classmethod
     def build(cls, states, agents, props, relations, valuation, locals, meta=None):
-        """Normalize plain iterables / string state names into a validated model."""
+        """Normalize plain iterables / string state names into a validated model.
+
+        Each distinct state name is parsed once, and every mention of it
+        becomes the same `StateId` object.
+        """
+        ids: Dict[object, StateId] = {}
+
         def st(x):
-            return x if isinstance(x, StateId) else StateId.parse(str(x))
+            sid = ids.get(x)
+            if sid is None:
+                sid = ids[x] = x if isinstance(x, StateId) else StateId.parse(str(x))
+            return sid
 
         return cls(
             states=frozenset(st(s) for s in states),
@@ -126,6 +136,11 @@ class KripkeModel:
             meta=dict(meta or {}),
         )
 
+    @cached_property
+    def index(self) -> "ModelIndex":
+        """The model's successor index, built on first use."""
+        return ModelIndex(self)
+
     def require_agent(self, agent: Agent) -> None:
         if agent not in self.agents:
             raise ModelError(f"unknown agent: {agent}")
@@ -135,11 +150,61 @@ class KripkeModel:
             raise ModelError(f"unknown state: {state}")
 
 
+def pack(flags: Iterable[object]) -> int:
+    """The bitmask whose bit k is set iff the k-th flag is truthy."""
+    return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
+
+
+def positions(mask: int) -> Iterator[int]:
+    """The numbers of the bits set in `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class ModelIndex:
+    """A model's states numbered in sorted order, with every set of states
+    held as a bitmask over that numbering: bit k stands for `order[k]`.
+
+    `rows[a][k]` is the mask of the a-successors of state k, `present[a]`
+    the mask of states with at least one a-edge, and `valuation` and
+    `locals` hold the model's sets of the same names as masks.
+    """
+
+    def __init__(self, model: KripkeModel):
+        self.order: Tuple[StateId, ...] = tuple(sorted(model.states))
+        bit = {s: k for k, s in enumerate(self.order)}
+        self.bit: Dict[StateId, int] = bit
+        self.full = (1 << len(self.order)) - 1
+        self.rows: Dict[Agent, List[int]] = {}
+        for a, edges in model.relations.items():
+            row = [0] * len(self.order)
+            for (s, t) in edges:
+                row[bit[s]] |= 1 << bit[t]
+            self.rows[a] = row
+        self.present = {a: pack(row) for a, row in self.rows.items()}
+        self.valuation = {p: self.mask(sts) for p, sts in model.valuation.items()}
+        self.locals = {a: self.mask(sts) for a, sts in model.locals.items()}
+
+    def mask(self, states: Iterable[StateId]) -> int:
+        """The bitmask of `states`."""
+        bit, m = self.bit, 0
+        for s in states:
+            m |= 1 << bit[s]
+        return m
+
+    def states_of(self, mask: int) -> FrozenSet[StateId]:
+        """The states in `mask`."""
+        return frozenset(self.order[k] for k in positions(mask))
+
+
 def successors(model: KripkeModel, agent: Agent, state: StateId) -> FrozenSet[StateId]:
     """All states reachable from `state` by one edge of `agent`."""
     model.require_agent(agent)
     model.require_state(state)
-    return frozenset(t for (s, t) in model.relations[agent] if s == state)
+    idx = model.index
+    return idx.states_of(idx.rows[agent][idx.bit[state]])
 
 
 def subjective_relation(model: KripkeModel, agent: Agent) -> FrozenSet[Edge]:
@@ -158,19 +223,17 @@ def reachable_from(model: KripkeModel, seeds: Iterable[StateId],
         model.require_state(s)
     for a in agents:
         model.require_agent(a)
-    succ = {}
-    for a in agents:
-        for (s, t) in model.relations[a]:
-            succ.setdefault(s, set()).add(t)
-    seen = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        s = queue.popleft()
-        for t in succ.get(s, ()):
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return frozenset(seen)
+    idx = model.index
+    rows = [idx.rows[a] for a in agents]
+    seen = frontier = idx.mask(seeds)
+    while frontier:
+        step = 0
+        for k in positions(frontier):
+            for row in rows:
+                step |= row[k]
+        frontier = step & ~seen
+        seen |= frontier
+    return idx.states_of(seen)
 
 
 def prune_unreachable(model: KripkeModel, seeds: Iterable[StateId]) -> KripkeModel:

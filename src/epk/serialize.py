@@ -6,7 +6,7 @@ The document schema mirrors the model directly:
      "relations": {agent: [[s, t], ...]},
      "valuation": {prop: [s, ...]},
      "locals": {agent: [s, ...]},
-     "meta": {...}}
+     "meta": {str: str}}              (meta is optional)
 
 State names carry lineage inline: "3@act", "1@act@shift".  Saving always
 emits the canonical form (sorted keys, sorted lists), so a canonical
@@ -42,21 +42,53 @@ def model_to_doc(model: KripkeModel) -> dict:
     return doc
 
 
+def _strings(value, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise DocumentError(f"{where} must be a list of strings")
+    return value
+
+
+def _string_lists(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise DocumentError(f"{where} must be a JSON object")
+    for name, names in value.items():
+        _strings(names, f"{where}.{name}")
+    return value
+
+
+def _relations(value) -> dict:
+    if not isinstance(value, dict):
+        raise DocumentError("relations must be a JSON object")
+    for a, pairs in value.items():
+        if not isinstance(pairs, list):
+            raise DocumentError(f"relations.{a} must be a list of [s, t] pairs")
+        for k, pair in enumerate(pairs):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str) and isinstance(pair[1], str)):
+                raise DocumentError(f"relations.{a}[{k}] must be a pair of state names [s, t]")
+    return value
+
+
 def doc_to_model(doc: dict) -> KripkeModel:
+    """The model a document describes.  Every field must have exactly the
+    shape of the schema above; anything else raises `DocumentError`."""
     if not isinstance(doc, dict):
         raise DocumentError("model document must be a JSON object")
     for key in ("states", "agents", "props", "relations", "valuation", "locals"):
         if key not in doc:
             raise DocumentError(f"model document is missing {key!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):
+        raise DocumentError("meta must be a JSON object of strings")
     try:
         return KripkeModel.build(
-            states=doc["states"],
-            agents=doc["agents"],
-            props=doc["props"],
-            relations=doc["relations"],
-            valuation=doc["valuation"],
-            locals=doc["locals"],
-            meta=doc.get("meta"),
+            states=_strings(doc["states"], "states"),
+            agents=_strings(doc["agents"], "agents"),
+            props=_strings(doc["props"], "props"),
+            relations=_relations(doc["relations"]),
+            valuation=_string_lists(doc["valuation"], "valuation"),
+            locals=_string_lists(doc["locals"], "locals"),
+            meta=meta,
         )
     except ModelError as e:
         raise DocumentError(str(e)) from e

@@ -65,6 +65,20 @@ def random_local_kd45_model(rng: random.Random, max_states=6, max_agents=3,
                              relations=relations, valuation=valuation, locals=locs)
 
 
+def random_sparse_model(rng: random.Random, n, agents=AGENT_POOL, props=PROP_POOL,
+                        max_degree=4) -> KripkeModel:
+    """A random model on exactly `n` states with few edges: each state gets
+    0 to `max_degree` successors per agent, so some states have none."""
+    states = [StateId(str(k + 1)) for k in range(n)]
+    relations = {ag: {(s, t) for s in states
+                      for t in rng.sample(states, rng.randint(0, min(max_degree, n)))}
+                 for ag in agents}
+    locs = {ag: rng.sample(states, rng.randint(1, min(3, n))) for ag in agents}
+    valuation = {p: {s for s in states if rng.random() < 0.5} for p in props}
+    return KripkeModel.build(states=states, agents=agents, props=props,
+                             relations=relations, valuation=valuation, locals=locs)
+
+
 def random_formula(rng: random.Random, agents, props, depth,
                    extra_about=()):
     """Random formula over the given symbols.  `extra_about` adds names

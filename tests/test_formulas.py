@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epk.formulas import (And, Believes, CertainAgent, Implies, Not, Or,
-                          ParseError, PossibleAgent, Prop, formula_symbols,
-                          parse, unparse)
+from epk.formulas import (MAX_PAREN_DEPTH, And, Believes, CertainAgent,
+                          Implies, Not, Or, ParseError, PossibleAgent, Prop,
+                          formula_symbols, parse, unparse)
 from helpers import random_ast
 
 
@@ -34,6 +34,27 @@ class TestParse:
 
     def test_keyword_letters_are_plain_idents_without_bracket(self):
         assert parse("B & C") == And(Prop("B"), Prop("C"))
+
+    def test_long_prefix_chains_parse(self):
+        f = parse("~B[m] " * 3000 + "p")
+        for _ in range(3000):
+            assert isinstance(f, Not) and isinstance(f.sub, Believes)
+            f = f.sub.sub
+        assert f == Prop("p")
+
+    def test_long_implication_chain_parses(self):
+        f = parse(" -> ".join(["p"] * 3000))
+        for _ in range(2999):
+            assert f.left == Prop("p")
+            f = f.right
+        assert f == Prop("p")
+
+    def test_parenthesis_depth_is_capped(self):
+        assert parse("(" * MAX_PAREN_DEPTH + "p" + ")" * MAX_PAREN_DEPTH) == Prop("p")
+        deeper = MAX_PAREN_DEPTH + 1
+        with pytest.raises(ParseError, match="nested") as e:
+            parse("(" * deeper + "p" + ")" * deeper)
+        assert e.value.pos == MAX_PAREN_DEPTH
 
     def test_lexical_error_has_position(self):
         with pytest.raises(ParseError) as e:

@@ -29,6 +29,27 @@ class TestStateId:
             StateId("1", ("bogus",))
 
 
+class TestIndex:
+    def test_built_once_per_model(self):
+        m = figure2()
+        assert m.index is m.index
+
+    def test_build_makes_one_object_per_state(self):
+        m = figure2()
+        states = {s.name: s for s in m.states}
+        for edges in m.relations.values():
+            for (s, t) in edges:
+                assert s is states[s.name] and t is states[t.name]
+
+    def test_successors_agree_with_the_relation(self):
+        rng = random.Random(4)
+        for _ in range(30):
+            m = random_local_kd45_model(rng)
+            for a in m.agents:
+                for s in m.states:
+                    assert successors(m, a, s) == {t for (u, t) in m.relations[a] if u == s}
+
+
 class TestValidation:
     def test_relation_endpoint_must_exist(self):
         with pytest.raises(ModelError, match="undeclared state"):

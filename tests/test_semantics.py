@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +7,11 @@ from hypothesis import strategies as st
 
 import oracles
 from epk import (KripkeModel, ModelError, StateId, holds_at, holds_for_agent,
-                 holds_globally, parse, presence_at)
-from epk.formulas import Believes, CertainAgent, Implies, Not, PossibleAgent
+                 holds_globally, parse, presence_at, sat)
+from epk.formulas import And, Believes, CertainAgent, Implies, Not, PossibleAgent
 from epk.frames import check_properties
-from helpers import figure2, random_formula, random_local_kd45_model
+from helpers import (figure2, random_formula, random_local_kd45_model,
+                     random_sparse_model)
 
 
 def S(name):
@@ -55,6 +57,26 @@ class TestHoldsAt:
 
     def test_absent_right_index_is_fine(self):
         assert holds_at(figure2(), S("1"), parse("P[m,zz]")) is False
+
+
+class TestSat:
+    def test_mask_numbers_states_in_sorted_order(self):
+        m = figure2()
+        assert m.index.order == (S("1"), S("2"), S("3"))
+        assert sat(m, parse("p")) == 0b101
+        assert sat(m, parse("C[f,g]")) == 0b111
+        assert sat(m, parse("P[m,g]")) == 0b100
+
+    def test_subformula_shared_by_two_parents(self):
+        m = figure2()
+        g = parse("B[m] p")
+        assert sat(m, And(g, Not(g))) == 0
+
+    def test_leftmost_unknown_symbol_is_reported(self):
+        with pytest.raises(ModelError, match="zzz"):
+            sat(figure2(), parse("zzz & B[yy] p"))
+        with pytest.raises(ModelError, match="yy"):
+            sat(figure2(), parse("B[yy] zzz"))
 
 
 class TestHoldsForAgent:
@@ -147,3 +169,42 @@ class TestProperties:
         f = random_formula(rng, m.agents, m.props, depth=4, extra_about=["zz"])
         for s in m.states:
             assert holds_at(m, s, f) == oracles.eval_at(m, s, f)
+
+
+class TestLargerModels:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=50, deadline=None)
+    def test_agrees_with_oracle_on_30_to_50_states(self, seed):
+        rng = random.Random(seed)
+        m = random_sparse_model(rng, rng.randint(30, 50), max_degree=3)
+        f = random_formula(rng, m.agents, m.props, depth=3, extra_about=["zz"])
+        truth = {s: oracles.eval_at(m, s, f) for s in m.states}
+        for s in m.states:
+            assert holds_at(m, s, f) == truth[s]
+        for a in m.agents:
+            assert holds_for_agent(m, a, f) == oracles.eval_for_agent(m, a, f)
+        assert holds_globally(m, f) == all(truth.values())
+
+
+def _best_time(fn, k=5):
+    best = float("inf")
+    for _ in range(k):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestComplexity:
+    def test_agency_costs_a_constant_factor_of_belief(self):
+        # C and P are a box and a diamond over a presence atom, so at a
+        # fixed formula size they must cost about what belief costs.  Each
+        # formula is asked as the tautology `f | ~f`, which holds at every
+        # state, so no evaluator can stop early.  A ratio of best-of-k
+        # times stays stable where wall-clock does not.
+        m = random_sparse_model(random.Random(2000), 2000)
+        belief, agency = (parse(f"({f}) | ~({f})") for f in ("B[a] B[b] p", "P[a,b] & C[b,c]"))
+        assert holds_globally(m, belief) and holds_globally(m, agency)
+        ratio = (_best_time(lambda: holds_globally(m, agency))
+                 / _best_time(lambda: holds_globally(m, belief)))
+        assert ratio <= 5, f"C/P evaluation took {ratio:.1f}x belief-only evaluation"

@@ -34,6 +34,47 @@ class TestDocuments:
             doc_to_model({"states": [], "agents": [], "props": [],
                           "relations": {}, "valuation": {}})
 
+    def test_one_element_relation_pair_is_rejected(self, tmp_path):
+        doc = {"states": ["1"], "agents": ["a"], "props": [], "relations": {"a": [["1"]]},
+               "valuation": {}, "locals": {"a": ["1"]}}
+        with pytest.raises(DocumentError, match=r"relations\.a\[0\]"):
+            doc_to_model(doc)
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run_cli(str(p), "validate")
+        assert code == 2 and err.startswith("epk: error:")
+
+    def test_string_for_states_is_rejected(self, tmp_path):
+        doc = {"states": "12", "agents": ["a"], "props": [], "relations": {"a": [["1", "2"]]},
+               "valuation": {}, "locals": {"a": ["1"]}}
+        with pytest.raises(DocumentError, match="states must be a list of strings"):
+            doc_to_model(doc)
+        p = tmp_path / "string.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run_cli(str(p), "validate")
+        assert code == 2 and err.startswith("epk: error:")
+
+    @pytest.mark.parametrize("key, value", [
+        ("agents", "a"),
+        ("props", [1]),
+        ("relations", [["1", "1"]]),
+        ("relations", {"a": "11"}),
+        ("relations", {"a": [["1", "1", "1"]]}),
+        ("relations", {"a": [["1", 1]]}),
+        ("relations", {"a": ["11"]}),
+        ("valuation", {"p": "1"}),
+        ("valuation", []),
+        ("locals", {"a": [None]}),
+        ("meta", {"name": 3}),
+        ("meta", "figure2"),
+    ])
+    def test_bad_shapes_are_rejected(self, key, value):
+        doc = {"states": ["1"], "agents": ["a"], "props": ["p"], "relations": {"a": [["1", "1"]]},
+               "valuation": {"p": ["1"]}, "locals": {"a": ["1"]}}
+        doc[key] = value
+        with pytest.raises(DocumentError, match=key):
+            doc_to_model(doc)
+
     def test_bad_json_reports_position(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{\n  broken\n}")
@@ -169,6 +210,25 @@ class TestCli:
         code, out, _ = run_cli(fixture_path("figure2"), "show")
         assert code == 0
         assert "states (3)" in out and "I(m) = {1, 2}" in out
+
+    @pytest.mark.parametrize("depth", [5000, 5001])
+    def test_long_negation_chain_answers_by_parity(self, depth):
+        # p holds at state 1, so an even number of negations keeps it true.
+        code, out, err = run_cli(fixture_path("figure2"), "check", "--state", "1",
+                                 "~" * depth + "p")
+        assert (code, err) == (0, "")
+        assert out.strip() == ("true" if depth % 2 == 0 else "false")
+
+    def test_long_belief_chain(self):
+        code, out, err = run_cli(fixture_path("figure2"), "check", "--agent", "f",
+                                 "B[f] " * 5000 + "p")
+        assert (code, out.strip(), err) == (0, "true", "")
+
+    def test_deep_parentheses_exit_2(self):
+        code, out, err = run_cli(fixture_path("figure2"), "check", "--state", "1",
+                                 "(" * 5000 + "p" + ")" * 5000)
+        assert code == 2 and out == ""
+        assert err.startswith("epk: error:") and "nested" in err
 
     def test_errors_exit_2(self, tmp_path):
         code, _, err = run_cli(str(tmp_path / "missing.json"), "show")
