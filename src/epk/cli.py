@@ -16,6 +16,7 @@ validation fails), 2 on any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import frames, serialize
@@ -153,8 +154,14 @@ def _cmd_show(model: KripkeModel, out) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         model = serialize.load_model(args.model)
         if args.command == "validate":

@@ -211,55 +211,67 @@ def parse(text: str) -> Formula:
 # Precedence levels used by the printer; higher binds tighter.
 _IMPLIES, _OR, _AND, _UNARY = 1, 2, 3, 4
 
-
-def _fmt(f: Formula, ctx: int) -> str:
-    if isinstance(f, Prop):
-        return f.name
-    if isinstance(f, CertainAgent):
-        return f"C[{f.agent},{f.about}]"
-    if isinstance(f, PossibleAgent):
-        return f"P[{f.agent},{f.about}]"
-    if isinstance(f, Not):
-        return "~" + _fmt(f.sub, _UNARY)
-    if isinstance(f, Believes):
-        return f"B[{f.agent}] " + _fmt(f.sub, _UNARY)
-    if isinstance(f, And):
-        s = _fmt(f.left, _AND) + " & " + _fmt(f.right, _AND + 1)
-        return f"({s})" if ctx > _AND else s
-    if isinstance(f, Or):
-        s = _fmt(f.left, _OR) + " | " + _fmt(f.right, _OR + 1)
-        return f"({s})" if ctx > _OR else s
-    if isinstance(f, Implies):
-        s = _fmt(f.left, _IMPLIES + 1) + " -> " + _fmt(f.right, _IMPLIES)
-        return f"({s})" if ctx > _IMPLIES else s
-    raise TypeError(f"not a formula: {f!r}")
+# Binary connective -> (its level, its symbol, the levels its left and right
+# operands are printed at).  "->" associates to the right, "&" and "|" to the left.
+_BINARY = {
+    And: (_AND, "&", _AND, _AND + 1),
+    Or: (_OR, "|", _OR, _OR + 1),
+    Implies: (_IMPLIES, "->", _IMPLIES + 1, _IMPLIES),
+}
 
 
 def unparse(f: Formula) -> str:
-    """Canonical text with minimal parentheses; parse(unparse(f)) == f."""
-    return _fmt(f, 0)
+    """Canonical text with minimal parentheses; parse(unparse(f)) == f.
+
+    Walks the formula with an explicit stack, so any nesting depth prints.
+    """
+    out = []
+    stack = [(f, 0)]  # (formula, level of its context), or (text, None)
+    while stack:
+        g, ctx = stack.pop()
+        if ctx is None:
+            out.append(g)
+        elif isinstance(g, Prop):
+            out.append(g.name)
+        elif isinstance(g, CertainAgent):
+            out.append(f"C[{g.agent},{g.about}]")
+        elif isinstance(g, PossibleAgent):
+            out.append(f"P[{g.agent},{g.about}]")
+        elif isinstance(g, Not):
+            out.append("~")
+            stack.append((g.sub, _UNARY))
+        elif isinstance(g, Believes):
+            out.append(f"B[{g.agent}] ")
+            stack.append((g.sub, _UNARY))
+        elif type(g) in _BINARY:
+            level, symbol, left, right = _BINARY[type(g)]
+            if ctx > level:
+                out.append("(")
+                stack.append((")", None))
+            stack += [(g.right, right), (f" {symbol} ", None), (g.left, left)]
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+    return "".join(out)
 
 
 def formula_symbols(f: Formula) -> Tuple[FrozenSet[str], FrozenSet[str]]:
     """All agent names and proposition names occurring in the formula."""
     agents, props = set(), set()
-
-    def walk(g: Formula) -> None:
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if isinstance(g, Prop):
             props.add(g.name)
         elif isinstance(g, Not):
-            walk(g.sub)
+            stack.append(g.sub)
         elif isinstance(g, (And, Or, Implies)):
-            walk(g.left)
-            walk(g.right)
+            stack += [g.right, g.left]
         elif isinstance(g, Believes):
             agents.add(g.agent)
-            walk(g.sub)
+            stack.append(g.sub)
         elif isinstance(g, (CertainAgent, PossibleAgent)):
             agents.add(g.agent)
             agents.add(g.about)
         else:
             raise TypeError(f"not a formula: {g!r}")
-
-    walk(f)
     return frozenset(agents), frozenset(props)

@@ -10,9 +10,10 @@ globally non-serial relations, and frequently do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
-from .model import Agent, Edge, KripkeModel, ModelError, StateId, reachable_from
+from .model import (Agent, Edge, KripkeModel, ModelError, StateId, positions,
+                    reachable_from)
 
 PROPERTIES = ("reflexive", "symmetric", "serial", "transitive", "euclidean")
 
@@ -32,48 +33,57 @@ class FramePropertyReport:
 
 def check_properties(relation: FrozenSet[Edge], domain: FrozenSet[StateId],
                      agent: Agent = "") -> FramePropertyReport:
-    relation = frozenset(relation)
-    domain = frozenset(domain)
-    for (s, t) in relation:
-        if s not in domain or t not in domain:
-            raise ModelError(f"relation endpoint {s if s not in domain else t} outside domain")
+    """Which of the five properties `relation` has over `domain`.
 
-    succ: Dict[StateId, set] = {}
-    for (s, t) in relation:
-        succ.setdefault(s, set()).add(t)
+    Each failed property gets its lexicographically least counterexample.
+    The sorted domain is numbered and each state's successors held as one
+    bitmask, so every property costs one mask test per state or per edge.
+    """
+    domain = frozenset(domain)
+    order = sorted(domain)
+    bit = {s: k for k, s in enumerate(order)}
+    succ = [0] * len(order)  # succ[k]: the successors of state k
+    pred = [0] * len(order)  # pred[k]: the states that have k as a successor
+    try:
+        for (s, t) in relation:
+            k, m = bit[s], bit[t]
+            succ[k] |= 1 << m
+            pred[m] |= 1 << k
+    except KeyError as e:
+        raise ModelError(f"relation endpoint {e.args[0]} outside domain") from None
+
+    def least(mask: int) -> StateId:
+        return order[(mask & -mask).bit_length() - 1]
+
+    def first_triple(fails) -> Optional[Tuple[StateId, ...]]:
+        """The least (s, t, u) with (s, t) an edge and u in fails(s's row, t's row)."""
+        for k, row in enumerate(succ):
+            for t in positions(row):
+                bad = fails(row, succ[t])
+                if bad:
+                    return (order[k], order[t], least(bad))
+        return None
 
     witnesses: Dict[str, Tuple[StateId, ...]] = {}
-
-    for s in sorted(domain):
-        if (s, s) not in relation:
-            witnesses["reflexive"] = (s,)
+    for k, row in enumerate(succ):
+        if not row >> k & 1:
+            witnesses["reflexive"] = (order[k],)
             break
-    for s in sorted(domain):
-        if not succ.get(s):
-            witnesses["serial"] = (s,)
+    for k, row in enumerate(succ):
+        if not row:
+            witnesses["serial"] = (order[k],)
             break
-    for (s, t) in sorted(relation):
-        if (t, s) not in relation:
-            witnesses["symmetric"] = (s, t)
+    for k, row in enumerate(succ):
+        if row & ~pred[k]:  # some t with (s, t) but not (t, s)
+            witnesses["symmetric"] = (order[k], least(row & ~pred[k]))
             break
-    done = False
-    for (s, t) in sorted(relation):
-        for u in sorted(succ.get(t, ())):
-            if (s, u) not in relation:
-                witnesses["transitive"] = (s, t, u)
-                done = True
-                break
-        if done:
-            break
-    done = False
-    for (s, t) in sorted(relation):
-        for u in sorted(succ.get(s, ())):
-            if (t, u) not in relation:
-                witnesses["euclidean"] = (s, t, u)
-                done = True
-                break
-        if done:
-            break
+    # transitive: every successor u of a successor t of s is a successor of s
+    # Euclidean: every successor u of s is a successor of each successor t of s
+    for name, fails in (("transitive", lambda s_row, t_row: t_row & ~s_row),
+                        ("euclidean", lambda s_row, t_row: s_row & ~t_row)):
+        w = first_triple(fails)
+        if w:
+            witnesses[name] = w
 
     flags = {p: p not in witnesses for p in PROPERTIES}
     return FramePropertyReport(agent=agent, domain=domain, witnesses=witnesses, **flags)
@@ -90,9 +100,9 @@ def classify_model(model: KripkeModel, mode: str = "global") -> Dict[Agent, Fram
             domain = model.states
             relation = model.relations[a]
         else:
+            # The closure holds every a-successor of its states.
             domain = reachable_from(model, model.locals[a], {a})
-            relation = frozenset((s, t) for (s, t) in model.relations[a]
-                                 if s in domain and t in domain)
+            relation = frozenset(e for e in model.relations[a] if e[0] in domain)
         reports[a] = check_properties(relation, domain, agent=a)
     return reports
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple
 
 Agent = str
@@ -29,6 +30,11 @@ class StateId:
 
     Original states have an empty lineage; each untruthful update appends
     one tag ("act" or "shift").
+
+    Every set and dict of states hashes them, so the hash,
+    `hash((base, lineage))`, is computed once, when the state is built.
+    String hashes are salted per process, so pickling and copying rebuild
+    the state through `__init__` instead of carrying the cached value over.
     """
 
     base: str
@@ -40,6 +46,13 @@ class StateId:
         for tag in self.lineage:
             if tag not in LINEAGE_TAGS:
                 raise ModelError(f"bad lineage tag: {tag!r}")
+        object.__setattr__(self, "_hash", hash((self.base, self.lineage)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (type(self), (self.base, self.lineage))
 
     def tagged(self, tag: str) -> "StateId":
         return StateId(self.base, self.lineage + (tag,))
@@ -61,6 +74,15 @@ class StateId:
 
 
 Edge = Tuple[StateId, StateId]
+
+
+class _StateIds(dict):
+    """State names (or `StateId`s) to one `StateId` object each, parsed on
+    first lookup; a lookup that hits costs no Python call."""
+
+    def __missing__(self, x) -> StateId:
+        sid = self[x] = x if isinstance(x, StateId) else StateId.parse(str(x))
+        return sid
 
 
 def _check_token(name: str, what: str) -> str:
@@ -93,20 +115,23 @@ class KripkeModel:
             raise ModelError("locals must have exactly one entry per agent")
         if set(self.valuation) != set(self.props):
             raise ModelError("valuation must have exactly one entry per proposition")
+        # Set inclusion runs in C; the first offender is looked for only
+        # when there is one.
         for a, edges in self.relations.items():
-            for (s, t) in edges:
-                if s not in self.states or t not in self.states:
-                    raise ModelError(f"relation for {a} uses undeclared state {s if s not in self.states else t}")
+            if not self.states.issuperset(chain.from_iterable(edges)):
+                s = self._first_undeclared(chain.from_iterable(edges))
+                raise ModelError(f"relation for {a} uses undeclared state {s}")
         for p, sts in self.valuation.items():
-            for s in sts:
-                if s not in self.states:
-                    raise ModelError(f"valuation of {p} names undeclared state {s}")
+            if not self.states.issuperset(sts):
+                raise ModelError(f"valuation of {p} names undeclared state {self._first_undeclared(sts)}")
         for a, sts in self.locals.items():
             if not sts:
                 raise ModelError(f"local states of agent {a} must be non-empty")
-            for s in sts:
-                if s not in self.states:
-                    raise ModelError(f"local state {s} of agent {a} is undeclared")
+            if not self.states.issuperset(sts):
+                raise ModelError(f"local state {self._first_undeclared(sts)} of agent {a} is undeclared")
+
+    def _first_undeclared(self, states: Iterable[StateId]) -> StateId:
+        return next(s for s in states if s not in self.states)
 
     @classmethod
     def build(cls, states, agents, props, relations, valuation, locals, meta=None):
@@ -115,24 +140,15 @@ class KripkeModel:
         Each distinct state name is parsed once, and every mention of it
         becomes the same `StateId` object.
         """
-        ids: Dict[object, StateId] = {}
-
-        def st(x):
-            sid = ids.get(x)
-            if sid is None:
-                sid = ids[x] = x if isinstance(x, StateId) else StateId.parse(str(x))
-            return sid
-
+        st = _StateIds().__getitem__
         return cls(
-            states=frozenset(st(s) for s in states),
+            states=frozenset(map(st, states)),
             agents=frozenset(agents),
             props=frozenset(props),
             relations={a: frozenset((st(s), st(t)) for (s, t) in edges)
                        for a, edges in dict(relations).items()},
-            valuation={p: frozenset(st(s) for s in sts)
-                       for p, sts in dict(valuation).items()},
-            locals={a: frozenset(st(s) for s in sts)
-                    for a, sts in dict(locals).items()},
+            valuation={p: frozenset(map(st, sts)) for p, sts in dict(valuation).items()},
+            locals={a: frozenset(map(st, sts)) for a, sts in dict(locals).items()},
             meta=dict(meta or {}),
         )
 
@@ -198,6 +214,24 @@ class ModelIndex:
         """The states in `mask`."""
         return frozenset(self.order[k] for k in positions(mask))
 
+    def image(self, mask: int, agents: Iterable[Agent]) -> int:
+        """The states one edge of one of `agents` leads to from `mask`."""
+        rows = [self.rows[a] for a in agents]
+        out = 0
+        for k in positions(mask):
+            for row in rows:
+                out |= row[k]
+        return out
+
+    def closure(self, mask: int, agents: Iterable[Agent]) -> int:
+        """The smallest superset of `mask` closed under the agents' edges."""
+        agents = list(agents)
+        seen = frontier = mask
+        while frontier:
+            frontier = self.image(frontier, agents) & ~seen
+            seen |= frontier
+        return seen
+
 
 def successors(model: KripkeModel, agent: Agent, state: StateId) -> FrozenSet[StateId]:
     """All states reachable from `state` by one edge of `agent`."""
@@ -224,16 +258,7 @@ def reachable_from(model: KripkeModel, seeds: Iterable[StateId],
     for a in agents:
         model.require_agent(a)
     idx = model.index
-    rows = [idx.rows[a] for a in agents]
-    seen = frontier = idx.mask(seeds)
-    while frontier:
-        step = 0
-        for k in positions(frontier):
-            for row in rows:
-                step |= row[k]
-        frontier = step & ~seen
-        seen |= frontier
-    return idx.states_of(seen)
+    return idx.states_of(idx.closure(idx.mask(seeds), agents))
 
 
 def prune_unreachable(model: KripkeModel, seeds: Iterable[StateId]) -> KripkeModel:
@@ -246,11 +271,16 @@ def prune_unreachable(model: KripkeModel, seeds: Iterable[StateId]) -> KripkeMod
     for a in sorted(model.agents):
         if not (model.locals[a] & kept):
             raise ModelError(f"pruning would empty the local states of agent {a}")
+    # `kept` is closed under every edge, so an edge is kept iff its source
+    # is, and a relation all of whose sources are kept is kept whole.
+    idx = model.index
+    dropped = idx.full & ~idx.mask(kept)
     return KripkeModel(
         states=kept,
         agents=model.agents,
         props=model.props,
-        relations={a: frozenset((s, t) for (s, t) in edges if s in kept and t in kept)
+        relations={a: edges if not idx.present[a] & dropped
+                   else frozenset(e for e in edges if e[0] in kept)
                    for a, edges in model.relations.items()},
         valuation={p: sts & kept for p, sts in model.valuation.items()},
         locals={a: sts & kept for a, sts in model.locals.items()},
@@ -262,19 +292,16 @@ def replicate_with_lineage(model: KripkeModel, tag: str) -> KripkeModel:
     """Isomorphic copy with `tag` appended to every state's lineage."""
     if tag not in LINEAGE_TAGS:
         raise ModelError(f"bad lineage tag: {tag!r}")
-
-    def rn(s: StateId) -> StateId:
-        return s.tagged(tag)
-
+    rn = {s: s.tagged(tag) for s in model.states}
     return KripkeModel(
-        states=frozenset(rn(s) for s in model.states),
+        states=frozenset(rn.values()),
         agents=model.agents,
         props=model.props,
-        relations={a: frozenset((rn(s), rn(t)) for (s, t) in edges)
+        relations={a: frozenset((rn[s], rn[t]) for (s, t) in edges)
                    for a, edges in model.relations.items()},
-        valuation={p: frozenset(rn(s) for s in sts)
+        valuation={p: frozenset(rn[s] for s in sts)
                    for p, sts in model.valuation.items()},
-        locals={a: frozenset(rn(s) for s in sts)
+        locals={a: frozenset(rn[s] for s in sts)
                 for a, sts in model.locals.items()},
         meta=dict(model.meta),
     )

@@ -11,11 +11,19 @@ The document schema mirrors the model directly:
 State names carry lineage inline: "3@act", "1@act@shift".  Saving always
 emits the canonical form (sorted keys, sorted lists), so a canonical
 document round-trips byte-identically.
+
+Files are written whole: the text goes to a new file beside the target,
+which then replaces it, so a failed save leaves the target as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import shutil
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, List
 
 from .model import KripkeModel, ModelError, StateId
@@ -62,6 +70,10 @@ def _relations(value) -> dict:
     for a, pairs in value.items():
         if not isinstance(pairs, list):
             raise DocumentError(f"relations.{a} must be a list of [s, t] pairs")
+        # The usual case is checked in C; the loop finds the first bad pair.
+        if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+                and set(map(type, chain.from_iterable(pairs))) <= {str}):
+            continue
         for k, pair in enumerate(pairs):
             if not (isinstance(pair, list) and len(pair) == 2
                     and isinstance(pair[0], str) and isinstance(pair[1], str)):
@@ -108,16 +120,89 @@ def load_model(path: str) -> KripkeModel:
         raise DocumentError(f"{path}: {e}") from e
 
 
+def _json_block(items: List[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array (or, with brackets "{}", object) of already encoded
+    items, laid out as `json.dumps` lays it out with `indent=2` at nesting
+    depth `depth`."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _json_object(values: Dict[str, str], depth: int) -> str:
+    """A JSON object of already encoded values, its keys sorted."""
+    return _json_block([f"{_quote(k)}: {values[k]}" for k in sorted(values)], depth, "{}")
+
+
 def dumps_model(model: KripkeModel) -> str:
-    return json.dumps(model_to_doc(model), indent=2, sort_keys=True) + "\n"
+    """The canonical document of `model`: exactly the text of
+    `json.dumps(model_to_doc(model), indent=2, sort_keys=True)` plus a
+    newline, written without the pure-Python encoder `json` falls back
+    to when `indent` is set.
+
+    States are sorted by name once and each name is encoded once; lists
+    of states are then sorted by rank, and each edge is two pieces of
+    text looked up by rank.
+    """
+    names = {s: s.name for s in model.states}
+    order = sorted(names, key=names.__getitem__)
+    rank = {s: r for r, s in enumerate(order)}
+    quoted = [_quote(names[s]) for s in order]
+
+    def states(sts) -> str:
+        return _json_block([quoted[r] for r in sorted(rank[s] for s in sts)], 2)
+
+    # An edge at depth 3 is "[", its source, its target and "]" on four lines.
+    head = [f"[\n        {q},\n        " for q in quoted]
+    tail = [f"{q}\n      ]" for q in quoted]
+    n = len(order)
+
+    def edges(rel) -> str:
+        keys = sorted(rank[s] * n + rank[t] for (s, t) in rel)
+        return _json_block([head[k // n] + tail[k % n] for k in keys], 2)
+
+    doc = {
+        "states": _json_block(quoted, 1),
+        "agents": _json_block([_quote(a) for a in sorted(model.agents)], 1),
+        "props": _json_block([_quote(p) for p in sorted(model.props)], 1),
+        "relations": _json_object({a: edges(model.relations[a]) for a in model.agents}, 1),
+        "valuation": _json_object({p: states(model.valuation[p]) for p in model.props}, 1),
+        "locals": _json_object({a: states(model.locals[a]) for a in model.agents}, 1),
+    }
+    if model.meta:
+        # Meta is small and may hold any JSON value, so `json` writes it.
+        doc["meta"] = json.dumps(dict(model.meta), indent=2, sort_keys=True).replace("\n", "\n  ")
+    return _json_object(doc, 0) + "\n"
+
+
+def _write_atomically(path: str, text: str) -> None:
+    """Replace the file at `path` with `text`.
+
+    The text goes to a new file in the same directory, which then takes
+    the place of `path` in one `os.replace`, so `path` never holds a part
+    of the text.  If anything fails, `path` is left as it was and the new
+    file is removed.
+    """
+    target = os.path.realpath(path)  # through a symlink, not over it
+    directory, name = os.path.split(target)
+    # os.urandom, not the secrets module: importing that loads OpenSSL.
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except OSError as e:
+        raise DocumentError(f"{path}: {e.strerror}") from e
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 def save_model(model: KripkeModel, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_model(model))
-    except OSError as e:
-        raise DocumentError(f"{path}: {e.strerror}") from e
+    _write_atomically(path, dumps_model(model))
 
 
 def _dot_node(model: KripkeModel, s: StateId) -> str:
@@ -164,8 +249,4 @@ def dumps_dot(model: KripkeModel) -> str:
 
 
 def export_dot(model: KripkeModel, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_dot(model))
-    except OSError as e:
-        raise DocumentError(f"{path}: {e.strerror}") from e
+    _write_atomically(path, dumps_dot(model))

@@ -3,18 +3,23 @@
 Truthful updates announce a real departure (offline) or arrival (online) to
 everyone.  Untruthful updates split the model into an "act" region that only
 the informed agents can see and a "shift" region housing the misinformed
-agents' picture of the world, wired together by one-way cross edges.
+agents' picture of the world, wired together by one-way cross edges.  Both
+lies are one kernel, `_split`, which differs between them only in who is
+informed and in what happens to the target agent in the shift region.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional
+from functools import reduce
+from itertools import product
+from operator import or_
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from .formulas import CertainAgent
-from .model import (Agent, KripkeModel, ModelError, StateId, prune_unreachable,
-                    replicate_with_lineage)
+from .model import (Agent, Edge, KripkeModel, ModelError, StateId, positions,
+                    prune_unreachable)
 from .semantics import holds_for_agent
 
 UPDATE_KINDS = ("offline", "online", "lie_offline", "lie_online")
@@ -51,12 +56,19 @@ class UpdateResult:
 
 
 def _edge_diff(before: KripkeModel, after: KripkeModel):
+    # Models with no state in common, such as a lie's input and output,
+    # have no edge in common either.
+    disjoint = before.states.isdisjoint(after.states)
     added, removed = {}, {}
     for a in sorted(before.agents | after.agents):
         old = before.relations.get(a, frozenset())
         new = after.relations.get(a, frozenset())
-        added[a] = len(new - old)
-        removed[a] = len(old - new)
+        if new is old:
+            added[a] = removed[a] = 0
+        elif disjoint:
+            added[a], removed[a] = len(new), len(old)
+        else:
+            added[a], removed[a] = len(new - old), len(old - new)
     return added, removed
 
 
@@ -112,7 +124,7 @@ def update_online(model: KripkeModel, j: Agent,
     for s in new_locals:
         model.require_state(s)
     relations = dict(model.relations)
-    relations[j] = frozenset((s, t) for s in model.states for t in model.states)
+    relations[j] = frozenset(product(model.states, model.states))
     locals_ = dict(model.locals)
     locals_[j] = new_locals
     after = KripkeModel(
@@ -127,10 +139,75 @@ def update_online(model: KripkeModel, j: Agent,
     return _finish(model, after, ())
 
 
-def _prune_from_all_locals(before: KripkeModel, merged: KripkeModel) -> UpdateResult:
-    seeds = frozenset().union(*merged.locals.values())
-    pruned = prune_unreachable(merged, seeds)
-    return _finish(before, pruned, merged.states - pruned.states)
+def _split(model: KripkeModel, informed: FrozenSet[Agent], dropped: Optional[Agent] = None,
+           newcomer: Optional[Agent] = None,
+           new_locals: FrozenSet[StateId] = frozenset()) -> UpdateResult:
+    """The two-copy split both lies share: product update with a two-event
+    action model (Baltag, Moss and Solecki 1998), pruned to the states
+    reachable from every agent's local states.
+
+    Every state gets an "act" and a "shift" copy.  Informed agents keep
+    their edges and local states in the act copy.  Every other agent's
+    local states move to the shift copy, and its edges from act states
+    lead one way into it.  In the shift copy every agent keeps its edges
+    except `dropped`, which has none there; a `newcomer` joins with the
+    universal relation on the shift copy and the local states `new_locals`
+    there.
+
+    Which copies survive pruning is worked out on the input's successor
+    masks before any edge is made, so only kept edges are built.
+    """
+    idx = model.index
+    act = [s.tagged("act") for s in idx.order]
+    shift = [s.tagged("shift") for s in idx.order]
+    agents = sorted(model.agents)
+    misinformed = [a for a in agents if a not in informed]
+    newcomer_locals = idx.mask(new_locals)
+
+    # Act states are reached only from act states; shift states from the
+    # misinformed agents' local states, along their edges out of the kept
+    # act states, and from the newcomer's local states.
+    act_kept = idx.closure(reduce(or_, (idx.locals[a] for a in informed), 0), informed)
+    shift_seeds = (reduce(or_, (idx.locals[a] for a in misinformed), 0)
+                   | idx.image(act_kept, misinformed) | newcomer_locals)
+    if newcomer is not None and shift_seeds:
+        shift_kept = idx.full  # the universal relation reaches every shift state
+    else:
+        shift_kept = idx.closure(shift_seeds, [a for a in agents if a != dropped])
+
+    def pick(copy, mask: int) -> List[StateId]:
+        return [copy[k] for k in positions(mask)]
+
+    def edges(rows, kept: int, frm, to) -> List[Edge]:
+        return [(frm[k], to[t]) for k in positions(kept) for t in positions(rows[k])]
+
+    def copies(mask: int) -> FrozenSet[StateId]:
+        return frozenset(pick(act, mask & act_kept) + pick(shift, mask & shift_kept))
+
+    relations = {}
+    locals_ = {}
+    for a in agents:
+        rows = idx.rows[a]
+        part = edges(rows, act_kept, act, act if a in informed else shift)
+        if a != dropped:
+            part += edges(rows, shift_kept, shift, shift)
+        relations[a] = frozenset(part)
+        locals_[a] = frozenset(pick(act if a in informed else shift, idx.locals[a]))
+    if newcomer is not None:
+        kept = pick(shift, shift_kept)
+        relations[newcomer] = frozenset(product(kept, kept))
+        locals_[newcomer] = frozenset(pick(shift, newcomer_locals))
+    after = KripkeModel(
+        states=copies(idx.full),
+        agents=frozenset(relations),
+        props=model.props,
+        relations=relations,
+        valuation={p: copies(m) for p, m in idx.valuation.items()},
+        locals=locals_,
+        meta=dict(model.meta),
+    )
+    discarded = pick(act, idx.full & ~act_kept) + pick(shift, idx.full & ~shift_kept)
+    return _finish(model, after, discarded)
 
 
 def lie_offline(model: KripkeModel, i: Agent, j: Agent) -> UpdateResult:
@@ -150,36 +227,7 @@ def lie_offline(model: KripkeModel, i: Agent, j: Agent) -> UpdateResult:
                 f"lie_offline: C[{k},{j}] does not hold before the lie; "
                 "the informed agents' certainty of the target is not preserved",
                 stacklevel=2)
-
-    act = replicate_with_lineage(model, "act")
-    shift = replicate_with_lineage(model, "shift")
-    misinformed = model.agents - {i, j}
-
-    relations = {}
-    for k in model.agents:
-        act_part = frozenset() if k in misinformed else act.relations[k]
-        shift_part = frozenset() if k == j else shift.relations[k]
-        cross = frozenset()
-        if k in misinformed:
-            cross = frozenset((s.tagged("act"), t.tagged("shift"))
-                              for (s, t) in model.relations[k])
-        relations[k] = act_part | shift_part | cross
-
-    locals_ = {}
-    for k in model.agents:
-        tag = "shift" if k in misinformed else "act"
-        locals_[k] = frozenset(s.tagged(tag) for s in model.locals[k])
-
-    merged = KripkeModel(
-        states=act.states | shift.states,
-        agents=model.agents,
-        props=model.props,
-        relations=relations,
-        valuation={p: act.valuation[p] | shift.valuation[p] for p in model.props},
-        locals=locals_,
-        meta=dict(model.meta),
-    )
-    return _prune_from_all_locals(model, merged)
+    return _split(model, informed=frozenset({i, j}), dropped=j)
 
 
 def lie_online(model: KripkeModel, i: Agent, j: Agent,
@@ -199,34 +247,4 @@ def lie_online(model: KripkeModel, i: Agent, j: Agent,
         raise ModelError(f"new agent {j} needs a non-empty set of local states")
     for s in new_locals:
         model.require_state(s)
-
-    act = replicate_with_lineage(model, "act")
-    shift = replicate_with_lineage(model, "shift")
-    misinformed = model.agents - {i}
-
-    relations = {}
-    for k in model.agents:
-        act_part = act.relations[k] if k == i else frozenset()
-        cross = frozenset()
-        if k in misinformed:
-            cross = frozenset((s.tagged("act"), t.tagged("shift"))
-                              for (s, t) in model.relations[k])
-        relations[k] = act_part | shift.relations[k] | cross
-    relations[j] = frozenset((s, t) for s in shift.states for t in shift.states)
-
-    locals_ = {}
-    for k in model.agents:
-        tag = "act" if k == i else "shift"
-        locals_[k] = frozenset(s.tagged(tag) for s in model.locals[k])
-    locals_[j] = frozenset(s.tagged("shift") for s in new_locals)
-
-    merged = KripkeModel(
-        states=act.states | shift.states,
-        agents=model.agents | {j},
-        props=model.props,
-        relations=relations,
-        valuation={p: act.valuation[p] | shift.valuation[p] for p in model.props},
-        locals=locals_,
-        meta=dict(model.meta),
-    )
-    return _prune_from_all_locals(model, merged)
+    return _split(model, informed=frozenset({i}), newcomer=j, new_locals=new_locals)

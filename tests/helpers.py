@@ -38,25 +38,29 @@ PROP_POOL = ["p", "q", "r"]
 
 
 def random_local_kd45_model(rng: random.Random, max_states=6, max_agents=3,
-                            max_props=3, min_agents=1) -> KripkeModel:
+                            max_props=3, min_agents=1, min_states=1,
+                            max_block=None, noise=0.25) -> KripkeModel:
     """A random model whose every agent is KD45 on the closure of its local
     states: edges from I(i) and a belief cluster B all land in B, so the
     subjective component is serial, transitive and Euclidean by shape.
-    Extra noise edges are allowed only from states outside that closure."""
-    n = rng.randint(1, max_states)
+    Extra noise edges, each present with probability `noise`, are allowed
+    only from states outside that closure.  `max_block` caps the sizes of
+    I(i) and B, which keeps larger models sparse."""
+    n = rng.randint(min_states, max_states)
+    block = n if max_block is None else min(n, max_block)
     states = [StateId(str(k + 1)) for k in range(n)]
     agents = AGENT_POOL[:rng.randint(min_agents, max_agents)]
     props = PROP_POOL[:rng.randint(1, max_props)]
     relations, locs = {}, {}
     for ag in agents:
-        loc = set(rng.sample(states, rng.randint(1, n)))
-        cluster = set(rng.sample(states, rng.randint(1, n)))
+        loc = set(rng.sample(states, rng.randint(1, block)))
+        cluster = set(rng.sample(states, rng.randint(1, block)))
         edges = {(s, t) for s in loc | cluster for t in cluster}
         for s in states:
             if s in loc | cluster:
                 continue
             for t in states:
-                if rng.random() < 0.25:
+                if rng.random() < noise:
                     edges.add((s, t))
         relations[ag] = edges
         locs[ag] = loc

@@ -147,3 +147,28 @@ def oracle_lie_online(model, i, j, new_locals):
     valuation = {p: {_act(s) for s in sts} | {_shift(s) for s in sts}
                  for p, sts in model.valuation.items()}
     return _pruned(states, model.agents | {j}, model.props, relations, valuation, locs)
+
+
+def oracle_frame_witnesses(relation, domain):
+    """Each frame property that fails, mapped to its lexicographically least
+    counterexample, straight from the first-order definitions: candidate
+    tuples are enumerated in lexicographic order and the first one that
+    breaks the definition is taken."""
+    R = set(relation)
+    dom = sorted(domain)
+    candidates = {
+        "reflexive": ((s,) for s in dom if (s, s) not in R),
+        "symmetric": ((s, t) for s in dom for t in dom
+                      if (s, t) in R and (t, s) not in R),
+        "serial": ((s,) for s in dom if not any((s, t) in R for t in dom)),
+        "transitive": ((s, t, u) for s in dom for t in dom for u in dom
+                       if (s, t) in R and (t, u) in R and (s, u) not in R),
+        "euclidean": ((s, t, u) for s in dom for t in dom for u in dom
+                      if (s, t) in R and (s, u) in R and (t, u) not in R),
+    }
+    witnesses = {}
+    for name, tuples in candidates.items():
+        first = next(tuples, None)
+        if first is not None:
+            witnesses[name] = first
+    return witnesses

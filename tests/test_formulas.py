@@ -104,6 +104,16 @@ class TestUnparse:
         f = random_ast(random.Random(seed), depth=6)
         assert parse(unparse(f)) == f
 
+    # Deep formulas are compared as text: the dataclasses' generated `==`
+    # still recurses once per nesting level.
+    @pytest.mark.parametrize("text", [
+        "~" * 5000 + "p",
+        "B[a] " * 5000 + "p",
+        " & ".join(["p"] * 5000),   # nested to the left
+        " -> ".join(["p"] * 5000),  # nested to the right
+    ], ids=["negation", "belief", "conjunction", "implication"])
+    def test_deep_formulas_print(self, text):
+        assert unparse(parse(text)) == text
 
 class TestFormulaSymbols:
     def test_nested_belief(self):
@@ -119,4 +129,11 @@ class TestFormulaSymbols:
     def test_mixed(self):
         agents, props = formula_symbols(parse("~B[m] p"))
         assert agents == {"m"}
+        assert props == {"p"}
+
+    @pytest.mark.parametrize("text", ["~" * 5000 + "p", "B[a] " * 5000 + "p"],
+                             ids=["negation", "belief"])
+    def test_deep_chains(self, text):
+        agents, props = formula_symbols(parse(text))
+        assert agents == ({"a"} if text.startswith("B") else frozenset())
         assert props == {"p"}

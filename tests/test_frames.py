@@ -1,7 +1,11 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from epk import StateId, check_properties, classify_model, is_kd45, is_s5
 from epk.frames import PROPERTIES
 from epk.model import ModelError
@@ -107,3 +111,63 @@ class TestSystems:
                 found += 1
                 assert is_kd45(rep)
         assert found > 0
+
+
+def random_relation(rng, n):
+    """A relation on n states that is often close to a frame class: random,
+    an equivalence, or KD45-shaped (every state points into one cluster),
+    then with up to two edges flipped.  Names carry lineage tags, so the
+    states' order differs from their names' order."""
+    dom = [StateId(str(k), rng.choice([(), ("act",), ("shift", "act")])) for k in range(n)]
+    dom = sorted(set(dom))
+    kind = rng.choice(["random", "equivalence", "kd45"])
+    if kind == "random":
+        p = rng.random()
+        rel = {(s, t) for s in dom for t in dom if rng.random() < p}
+    elif kind == "equivalence":
+        block = {s: rng.randrange(3) for s in dom}
+        rel = {(s, t) for s in dom for t in dom if block[s] == block[t]}
+    else:
+        cluster = rng.sample(dom, rng.randint(1, len(dom)))
+        rel = {(s, t) for s in dom for t in cluster}
+    for _ in range(rng.randint(0, 2)):
+        rel ^= {(rng.choice(dom), rng.choice(dom))}
+    return frozenset(rel), frozenset(dom)
+
+
+class TestAgainstDefinitions:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=150, deadline=None)
+    def test_flags_and_least_witnesses(self, seed):
+        rng = random.Random(seed)
+        rel, dom = random_relation(rng, rng.randint(1, 40))
+        rep = check_properties(rel, dom)
+        expected = oracles.oracle_frame_witnesses(rel, dom)
+        assert rep.witnesses == expected
+        for p in PROPERTIES:
+            assert getattr(rep, p) == (p not in expected)
+
+
+def _best_time(fn, k=3):
+    best = float("inf")
+    for _ in range(k):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestComplexity:
+    def test_universal_relation_costs_a_constant_factor_of_building_it(self):
+        # Each property is one mask test per state or per edge, so checking
+        # a relation costs a constant factor of building it.  The universal
+        # relation is the worst case for a check that walks the successors
+        # of every edge: m edges of n states each, O(n^3).  A ratio of
+        # best-of-k times stays stable where wall-clock does not.
+        dom = frozenset(StateId(str(k)) for k in range(240))
+        build = lambda: frozenset((s, t) for s in dom for t in dom)  # noqa: E731
+        rel = build()
+        rep = check_properties(rel, dom)
+        assert all(getattr(rep, p) for p in PROPERTIES)
+        ratio = _best_time(lambda: check_properties(rel, dom)) / _best_time(build)
+        assert ratio <= 20, f"check_properties took {ratio:.1f}x building the relation"

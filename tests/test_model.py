@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -27,6 +29,29 @@ class TestStateId:
     def test_bad_tag_rejected(self):
         with pytest.raises(ModelError):
             StateId("1", ("bogus",))
+
+    def test_hash_is_that_of_base_and_lineage(self):
+        s = S("3@act@shift")
+        assert hash(s) == hash(("3", ("act", "shift")))
+
+    @pytest.mark.parametrize("clone", [
+        lambda s: pickle.loads(pickle.dumps(s)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_clones_find_themselves_in_sets_and_dicts(self, clone):
+        s = S("3@act@shift")
+        other = clone(s)
+        assert other == s and other in {s} and {s: 1}[other] == 1
+        assert s in {other} and {other: 1}[s] == 1
+
+    def test_unpickling_recomputes_the_hash(self):
+        # String hashes are salted per process, so a hash cached in one
+        # process is wrong in the next: the clone must not carry it over.
+        s = S("3@act")
+        object.__setattr__(s, "_hash", 12345)
+        for other in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+            assert hash(other) == hash(("3", ("act",)))
 
 
 class TestIndex:

@@ -1,10 +1,17 @@
 import io
 import json
+import os
+import random
+import stat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from epk import (DocumentError, StateId, doc_to_model, dumps_dot, dumps_model,
-                 load_model, save_model)
+from epk import (DocumentError, KripkeModel, StateId, doc_to_model, dumps_dot,
+                 dumps_model, export_dot, load_model, model_to_doc, save_model,
+                 serialize)
+from epk import cli
 from epk.cli import main
 from helpers import figure2, fixture_path
 
@@ -94,6 +101,27 @@ class TestDocuments:
             on_disk = open(path, "rb").read()
             assert dumps_model(load_model(path)).encode() == on_disk
 
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_dumps_writes_the_bytes_of_json_dumps(self, seed):
+        # Names that sort differently as names and as states, that need
+        # escaping, or that are not ASCII; empty lists; meta of any JSON.
+        rng = random.Random(seed)
+        pool = ["1", "10", "2", "1 x", "a!", 'q"t', "back\\slash", "tab\t", "\u00e9",
+                "\u2603", "1@act", "10@shift", "2@act@shift"]
+        names = rng.sample(pool, rng.randint(1, len(pool)))
+        agents = rng.sample(["a", "b", "c_1"], rng.randint(1, 3))
+        props = rng.sample(["p", "q"], rng.randint(0, 2))
+        model = KripkeModel.build(
+            states=names, agents=agents, props=props,
+            relations={a: [(s, t) for s in names for t in names if rng.random() < 0.3]
+                       for a in agents},
+            valuation={p: [s for s in names if rng.random() < 0.5] for p in props},
+            locals={a: rng.sample(names, rng.randint(1, len(names))) for a in agents},
+            meta=rng.choice([{}, {"name": "x\ny", "\u00fc": ""}, {"n": [1, {"b": None}], "e": {}}]))
+        expected = json.dumps(model_to_doc(model), indent=2, sort_keys=True) + "\n"
+        assert dumps_model(model) == expected
+
     def test_lineage_in_state_names(self, tmp_path):
         from epk import lie_online
         m = lie_online(load_model(fixture_path("figure2_minus_g")), "m", "g", {S("3")}).model
@@ -102,6 +130,71 @@ class TestDocuments:
         again = load_model(str(p))
         assert again == m
         assert S("3@shift") in again.states
+
+
+def _refuse(src, dst):
+    raise PermissionError(13, "Permission denied")
+
+
+class TestAtomicWrites:
+    def _copy_of_figure2(self, tmp_path):
+        src = tmp_path / "m.json"
+        src.write_bytes(open(fixture_path("figure2"), "rb").read())
+        return src
+
+    def test_failed_serialization_leaves_in_place_input_alone(self, tmp_path, monkeypatch):
+        src = self._copy_of_figure2(tmp_path)
+        before = src.read_bytes()
+
+        def broken(model):
+            raise RuntimeError("serializer failed")
+
+        monkeypatch.setattr(serialize, "dumps_model", broken)
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            main([str(src), "update", "offline", "g", "--in-place"],
+                 out=io.StringIO(), err=io.StringIO())
+        assert src.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    @pytest.mark.parametrize("write", [save_model, export_dot], ids=["model", "dot"])
+    def test_failed_replace_leaves_target_and_no_temporary(self, tmp_path, monkeypatch, write):
+        target = tmp_path / "out"
+        target.write_text("old")
+
+        monkeypatch.setattr(serialize.os, "replace", _refuse)
+        with pytest.raises(DocumentError, match="Permission denied"):
+            write(figure2(), str(target))
+        assert target.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_failed_replace_exits_2(self, tmp_path, monkeypatch):
+        src = self._copy_of_figure2(tmp_path)
+        before = src.read_bytes()
+        monkeypatch.setattr(serialize.os, "replace", _refuse)
+        code, _, err = run_cli(str(src), "update", "offline", "g", "--in-place")
+        assert code == 2 and err.startswith("epk: error:")
+        assert src.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    def test_in_place_update_keeps_the_file_mode(self, tmp_path):
+        src = self._copy_of_figure2(tmp_path)
+        src.chmod(0o640)
+        code, _, _ = run_cli(str(src), "update", "offline", "g", "--in-place")
+        assert code == 0 and "g" not in load_model(str(src)).agents
+        assert stat.S_IMODE(src.stat().st_mode) == 0o640
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    def test_save_through_a_symlink_keeps_the_link(self, tmp_path):
+        real = self._copy_of_figure2(tmp_path)
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        code, _, _ = run_cli(str(link), "update", "offline", "g", "--in-place")
+        assert code == 0 and link.is_symlink()
+        assert "g" not in load_model(str(real)).agents
+
+    def test_missing_directory_is_a_document_error(self, tmp_path):
+        with pytest.raises(DocumentError, match="No such file"):
+            save_model(figure2(), str(tmp_path / "nowhere" / "m.json"))
 
 
 class TestDot:
@@ -138,6 +231,12 @@ def run_cli(*argv):
 
 
 class TestCli:
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+        first = run_cli(fixture_path("figure2"), "check", "--agent", "m", "~P[m,g]")
+        second = run_cli(fixture_path("figure2"), "check", "--global", "p")
+        assert (first[:2], second[:2]) == ((0, "true\n"), (0, "false\n"))
+
     def test_check_agent_scope(self):
         code, out, _ = run_cli(fixture_path("figure2"), "check", "--agent", "m", "~P[m,g]")
         assert code == 0

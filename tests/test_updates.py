@@ -2,7 +2,10 @@ import random
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from epk import (KripkeModel, ModelError, StateId, UpdateSpec, apply_update,
                  formula_symbols, holds_for_agent, lie_offline, lie_online,
                  parse, update_offline, update_online)
@@ -241,3 +244,91 @@ class TestPreservationAndComposition:
         on = update_online(figure2_minus_g(), "g", {S("3")})
         assert on.added_edges["g"] == 9
         assert sum(on.removed_edges.values()) == 0
+
+
+def larger_model(rng):
+    """A random locally-KD45 model of 30 to 50 states and two or three agents."""
+    return random_local_kd45_model(rng, min_states=30, max_states=50, min_agents=2,
+                                   max_block=8, noise=0.1)
+
+
+class TestLargerModels:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=12, deadline=None)
+    def test_updates_agree_with_oracles(self, seed):
+        rng = random.Random(seed)
+        base = larger_model(rng)
+        agents = sorted(base.agents)
+        i, j = rng.sample(agents, 2)
+        locs = set(rng.sample(sorted(base.states), rng.randint(1, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pairs = [
+                (update_offline(base, j), oracles.oracle_update_offline(base, j)),
+                (update_online(base, "z", locs), oracles.oracle_update_online(base, "z", locs)),
+                (lie_offline(base, i, j), oracles.oracle_lie_offline(base, i, j)),
+                (lie_online(base, i, "z", locs), oracles.oracle_lie_online(base, i, "z", locs)),
+            ]
+        split = {s.tagged(tag) for s in base.states for tag in ("act", "shift")}
+        for (res, expected), before in zip(pairs, [base.states, base.states, split, split]):
+            assert res.model == expected
+            assert res.discarded_states == before - expected.states
+            for a in base.agents | expected.agents:
+                old = base.relations.get(a, frozenset())
+                new = expected.relations.get(a, frozenset())
+                assert res.added_edges[a] == len(new - old)
+                assert res.removed_edges[a] == len(old - new)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_update_laws(self, seed):
+        rng = random.Random(seed)
+        base = larger_model(rng)
+        agents = sorted(base.agents)
+        i, j = rng.sample(agents, 2)
+        locs = {rng.choice(sorted(base.states))}
+        formulas = [random_formula(rng, agents, base.props, depth=3) for _ in range(4)]
+
+        # online: size kept, everyone certain of the newcomer, j-free truth kept
+        on = update_online(base, "z", locs).model
+        assert on.states == base.states
+        for k in on.agents:
+            assert holds_for_agent(on, k, parse(f"C[{k},z]"))
+        for f in formulas:
+            for k in agents:
+                assert holds_for_agent(on, k, f) == holds_for_agent(base, k, f)
+
+        # offline: the survivors see j absent, and keep their j-free truths
+        off = update_offline(base, j).model
+        survivors = [k for k in agents if k != j]
+        for k in survivors:
+            assert holds_for_agent(off, k, parse(f"~P[{k},{j}]"))
+        for f in formulas:
+            if j not in formula_symbols(f)[0]:
+                for k in survivors:
+                    assert holds_for_agent(off, k, f) == holds_for_agent(base, k, f)
+
+        # lie_offline: the misinformed see j absent, and i believes they do
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            loff = lie_offline(base, i, j).model
+        for k in sorted(base.agents - {i, j}):
+            assert holds_for_agent(loff, k, parse(f"~P[{k},{j}]"))
+            assert holds_for_agent(loff, i, parse(f"B[{i}] ~P[{k},{j}]"))
+        for k in (i, j):
+            if holds_for_agent(base, k, parse(f"C[{k},{j}]")):
+                assert holds_for_agent(loff, k, parse(f"C[{k},{j}]"))
+        assert len(loff.states) <= 2 * len(base.states)
+
+        # lie_online: the misinformed are certain of z, i believes they are
+        # and is not fooled itself; the misinformed keep their truths
+        lon = lie_online(base, i, "z", locs).model
+        for k in sorted(lon.agents - {i}):
+            assert holds_for_agent(lon, k, parse(f"C[{k},z]"))
+            assert holds_for_agent(lon, i, parse(f"B[{i}] C[{k},z]"))
+        assert holds_for_agent(lon, i, parse(f"~P[{i},z]"))
+        for f in formulas:
+            for k in agents:
+                if k != i:
+                    assert holds_for_agent(lon, k, f) == holds_for_agent(base, k, f)
+        assert len(lon.states) <= 2 * len(base.states)
