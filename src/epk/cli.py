@@ -16,6 +16,7 @@ validation fails), 2 on any error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -161,7 +162,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
-    args = _parser().parse_args(argv)
+    # argparse prints help to sys.stdout and usage errors to sys.stderr,
+    # then exits; here both go to the streams given, and the exit status
+    # (0 after --help, 2 after a usage error) is returned.
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _parser().parse_args(argv)
+    except SystemExit as e:
+        return e.code if isinstance(e.code, int) else 2
     try:
         model = serialize.load_model(args.model)
         if args.command == "validate":

@@ -32,48 +32,106 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class Prop:
+class _Node:
+    """What every formula node shares: equality, hashing and printing that
+    walk the formula with an explicit stack, so any nesting depth works.
+
+    The hash is computed once, when the node is built, from its class and
+    fields; a child contributes its own stored hash.  String hashes are
+    salted per process, so pickling and copying rebuild a node through
+    `__init__` instead of carrying the stored value over.
+    """
+
+    __match_args__: Tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self), *map(self.__getattribute__,
+                                                               self.__match_args__))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            f, g = stack.pop()
+            if f is g:
+                continue
+            if type(f) is not type(g) or f._hash != g._hash:
+                return False
+            for name in f.__match_args__:
+                x, y = getattr(f, name), getattr(g, name)
+                if isinstance(x, _Node):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        out = []
+        stack = [self]  # nodes, and text already rendered
+        while stack:
+            g = stack.pop()
+            if isinstance(g, str):
+                out.append(g)
+                continue
+            pieces = [f"{type(g).__name__}("]
+            for k, name in enumerate(g.__match_args__):
+                value = getattr(g, name)
+                pieces += [f"{', ' if k else ''}{name}=",
+                           value if isinstance(value, _Node) else repr(value)]
+            pieces.append(")")
+            stack += reversed(pieces)
+        return "".join(out)
+
+    def __reduce__(self):
+        return (type(self), tuple(map(self.__getattribute__, self.__match_args__)))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Prop(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Node):
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False, repr=False)
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Believes:
+@dataclass(frozen=True, eq=False, repr=False)
+class Believes(_Node):
     agent: str
     sub: "Formula"
 
 
-@dataclass(frozen=True)
-class CertainAgent:
+@dataclass(frozen=True, eq=False, repr=False)
+class CertainAgent(_Node):
     agent: str
     about: str
 
 
-@dataclass(frozen=True)
-class PossibleAgent:
+@dataclass(frozen=True, eq=False, repr=False)
+class PossibleAgent(_Node):
     agent: str
     about: str
 

@@ -10,10 +10,10 @@ globally non-serial relations, and frequently do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .model import (Agent, Edge, KripkeModel, ModelError, StateId, positions,
-                    reachable_from)
+from .model import (Agent, Edge, KripkeModel, ModelError, StateId, positions, rows_of,
+                    sort_states)
 
 PROPERTIES = ("reflexive", "symmetric", "serial", "transitive", "euclidean")
 
@@ -31,52 +31,41 @@ class FramePropertyReport:
     witnesses: Dict[str, Tuple[StateId, ...]] = field(default_factory=dict)
 
 
-def check_properties(relation: FrozenSet[Edge], domain: FrozenSet[StateId],
-                     agent: Agent = "") -> FramePropertyReport:
-    """Which of the five properties `relation` has over `domain`.
-
-    Each failed property gets its lexicographically least counterexample.
-    The sorted domain is numbered and each state's successors held as one
-    bitmask, so every property costs one mask test per state or per edge.
-    """
-    domain = frozenset(domain)
-    order = sorted(domain)
-    bit = {s: k for k, s in enumerate(order)}
-    succ = [0] * len(order)  # succ[k]: the successors of state k
-    pred = [0] * len(order)  # pred[k]: the states that have k as a successor
-    try:
-        for (s, t) in relation:
-            k, m = bit[s], bit[t]
-            succ[k] |= 1 << m
-            pred[m] |= 1 << k
-    except KeyError as e:
-        raise ModelError(f"relation endpoint {e.args[0]} outside domain") from None
+def _witnesses(order, rows: List[int], domain: int) -> Dict[str, Tuple[StateId, ...]]:
+    """Each property that the relation with successor rows `rows` (over the
+    sorted numbering `order`) fails on the states in `domain`, with its
+    lexicographically least counterexample.  Rows of domain states must
+    lie within `domain`; other rows are not read.  Each property costs one
+    mask test per state or per edge."""
+    dom = list(positions(domain))
 
     def least(mask: int) -> StateId:
         return order[(mask & -mask).bit_length() - 1]
 
     def first_triple(fails) -> Optional[Tuple[StateId, ...]]:
         """The least (s, t, u) with (s, t) an edge and u in fails(s's row, t's row)."""
-        for k, row in enumerate(succ):
+        for k in dom:
+            row = rows[k]
             for t in positions(row):
-                bad = fails(row, succ[t])
+                bad = fails(row, rows[t])
                 if bad:
                     return (order[k], order[t], least(bad))
         return None
 
     witnesses: Dict[str, Tuple[StateId, ...]] = {}
-    for k, row in enumerate(succ):
-        if not row >> k & 1:
+    for k in dom:
+        if not rows[k] >> k & 1:
             witnesses["reflexive"] = (order[k],)
             break
-    for k, row in enumerate(succ):
-        if not row:
+    for k in dom:
+        if not rows[k]:
             witnesses["serial"] = (order[k],)
             break
-    for k, row in enumerate(succ):
-        if row & ~pred[k]:  # some t with (s, t) but not (t, s)
-            witnesses["symmetric"] = (order[k], least(row & ~pred[k]))
-            break
+    # symmetric: s is a successor of each of its successors t
+    w = next(((order[k], order[t]) for k in dom for t in positions(rows[k])
+              if not rows[t] >> k & 1), None)
+    if w:
+        witnesses["symmetric"] = w
     # transitive: every successor u of a successor t of s is a successor of s
     # Euclidean: every successor u of s is a successor of each successor t of s
     for name, fails in (("transitive", lambda s_row, t_row: t_row & ~s_row),
@@ -84,9 +73,27 @@ def check_properties(relation: FrozenSet[Edge], domain: FrozenSet[StateId],
         w = first_triple(fails)
         if w:
             witnesses[name] = w
+    return witnesses
 
+
+def _report(agent: Agent, domain: FrozenSet[StateId], witnesses) -> FramePropertyReport:
     flags = {p: p not in witnesses for p in PROPERTIES}
     return FramePropertyReport(agent=agent, domain=domain, witnesses=witnesses, **flags)
+
+
+def check_properties(relation: Iterable[Edge], domain: Iterable[StateId],
+                     agent: Agent = "") -> FramePropertyReport:
+    """Which of the five properties `relation` has over `domain`.
+
+    Each failed property gets its lexicographically least counterexample.
+    The edges are read into successor rows over the sorted domain, which
+    `classify_model` takes straight from the model.
+    """
+    domain = frozenset(domain)
+    order = sort_states(domain)
+    bit = dict(zip(order, range(len(order))))
+    rows = rows_of(relation, bit, "relation endpoint {} outside domain")
+    return _report(agent, domain, _witnesses(order, rows, (1 << len(order)) - 1))
 
 
 def classify_model(model: KripkeModel, mode: str = "global") -> Dict[Agent, FramePropertyReport]:
@@ -94,16 +101,16 @@ def classify_model(model: KripkeModel, mode: str = "global") -> Dict[Agent, Fram
     local mode checks R(i) restricted to the i-reachable closure of I(i)."""
     if mode not in ("global", "local"):
         raise ModelError(f"unknown validation mode: {mode}")
+    idx = model.index
     reports = {}
     for a in sorted(model.agents):
         if mode == "global":
-            domain = model.states
-            relation = model.relations[a]
+            domain, states = idx.full, model.states
         else:
             # The closure holds every a-successor of its states.
-            domain = reachable_from(model, model.locals[a], {a})
-            relation = frozenset(e for e in model.relations[a] if e[0] in domain)
-        reports[a] = check_properties(relation, domain, agent=a)
+            domain = idx.closure(idx.locals[a], [a])
+            states = idx.states_of(domain)
+        reports[a] = _report(a, states, _witnesses(idx.order, idx.rows[a], domain))
     return reports
 
 

@@ -22,11 +22,14 @@ import contextlib
 import json
 import os
 import shutil
-from itertools import chain
+from functools import reduce
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter, or_
 from typing import Dict, List
 
-from .model import KripkeModel, ModelError, StateId
+from .model import (KripkeModel, ModelError, ModelIndex, StateId, check_symbols, mask_of,
+                    positions, state_key)
 
 
 class DocumentError(ValueError):
@@ -64,44 +67,75 @@ def _string_lists(value, where: str) -> dict:
     return value
 
 
-def _relations(value) -> dict:
-    if not isinstance(value, dict):
-        raise DocumentError("relations must be a JSON object")
-    for a, pairs in value.items():
-        if not isinstance(pairs, list):
-            raise DocumentError(f"relations.{a} must be a list of [s, t] pairs")
-        # The usual case is checked in C; the loop finds the first bad pair.
-        if (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-                and set(map(type, chain.from_iterable(pairs))) <= {str}):
-            continue
-        for k, pair in enumerate(pairs):
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and isinstance(pair[0], str) and isinstance(pair[1], str)):
-                raise DocumentError(f"relations.{a}[{k}] must be a pair of state names [s, t]")
-    return value
+_source, _target = itemgetter(0), itemgetter(1)
+
+
+def _bad_pair(a: str, pairs: list) -> None:
+    """Raise for the first element of `pairs` that is not a pair of state
+    names, if there is one."""
+    for k, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
+            raise DocumentError(f"relations.{a}[{k}] must be a pair of state names [s, t]")
+
+
+def _rows(a: str, pairs: list, bit: Dict[str, int], one: Dict[str, int]) -> List[int]:
+    """Agent a's successor rows from its list of [s, t] name pairs, where
+    `bit` numbers the names and `one` holds each name's one-bit mask."""
+    row = [0] * len(bit)
+    try:
+        # Pairs with one source are ORed into its row in C.  An element
+        # that is not a declared name fails its lookup.
+        if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
+            for s, group in groupby(pairs, _source):
+                row[bit[s]] |= reduce(or_, map(one.__getitem__, map(_target, group)))
+            return row
+    except (TypeError, KeyError):
+        pass
+    _bad_pair(a, pairs)
+    bad = next(x for pair in pairs for x in pair if x not in bit)
+    raise ModelError(f"relation for {a} uses undeclared state {bad}")
 
 
 def doc_to_model(doc: dict) -> KripkeModel:
     """The model a document describes.  Every field must have exactly the
-    shape of the schema above; anything else raises `DocumentError`."""
+    shape of the schema above; anything else raises `DocumentError`.
+
+    Each state name is parsed once and given its bit in the sorted
+    numbering, and each relation pair is ORed into its source's row: no
+    edge object is made."""
     if not isinstance(doc, dict):
         raise DocumentError("model document must be a JSON object")
     for key in ("states", "agents", "props", "relations", "valuation", "locals"):
         if key not in doc:
             raise DocumentError(f"model document is missing {key!r}")
+    states = _strings(doc["states"], "states")
+    agents = _strings(doc["agents"], "agents")
+    props = _strings(doc["props"], "props")
+    relations = doc["relations"]
+    if not isinstance(relations, dict):
+        raise DocumentError("relations must be a JSON object")
+    for a, pairs in relations.items():
+        if not isinstance(pairs, list):
+            raise DocumentError(f"relations.{a} must be a list of [s, t] pairs")
+    valuation = _string_lists(doc["valuation"], "valuation")
+    locals_ = _string_lists(doc["locals"], "locals")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):
         raise DocumentError("meta must be a JSON object of strings")
     try:
-        return KripkeModel.build(
-            states=_strings(doc["states"], "states"),
-            agents=_strings(doc["agents"], "agents"),
-            props=_strings(doc["props"], "props"),
-            relations=_relations(doc["relations"]),
-            valuation=_string_lists(doc["valuation"], "valuation"),
-            locals=_string_lists(doc["locals"], "locals"),
-            meta=meta,
-        )
+        ids = {name: StateId.parse(name) for name in states}
+        names = sorted(ids, key=lambda name: state_key(ids[name]))
+        bit = dict(zip(names, range(len(names))))
+        one = {name: 1 << k for name, k in bit.items()}
+        check_symbols(agents, props, relations, valuation, locals_)
+        rows = {a: _rows(a, pairs, bit, one) for a, pairs in relations.items()}
+        vmasks = {p: mask_of(sts, bit, f"valuation of {p} names undeclared state {{}}")
+                  for p, sts in valuation.items()}
+        lmasks = {a: mask_of(sts, bit, f"local state {{}} of agent {a} is undeclared")
+                  for a, sts in locals_.items()}
+        return KripkeModel.from_index(ModelIndex(tuple(map(ids.__getitem__, names)), rows,
+                                                 vmasks, lmasks), meta)
     except ModelError as e:
         raise DocumentError(str(e)) from e
 
@@ -114,6 +148,10 @@ def load_model(path: str) -> KripkeModel:
         raise DocumentError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
     except OSError as e:
         raise DocumentError(f"{path}: {e.strerror}") from e
+    except RecursionError:
+        raise DocumentError(f"{path}: JSON nested too deeply") from None
+    except ValueError as e:  # text that is not UTF-8, or an integer too long to convert
+        raise DocumentError(f"{path}: {e}") from e
     try:
         return doc_to_model(doc)
     except DocumentError as e:
@@ -141,34 +179,50 @@ def dumps_model(model: KripkeModel) -> str:
     newline, written without the pure-Python encoder `json` falls back
     to when `indent` is set.
 
-    States are sorted by name once and each name is encoded once; lists
-    of states are then sorted by rank, and each edge is two pieces of
-    text looked up by rank.
+    Names sort differently from states ("10" < "1@act", but state 1@act
+    comes first), so the states are ranked by name once and each name is
+    encoded once.  Edges are written straight from the successor rows:
+    sources in rank order, and each distinct row's targets ranked and
+    joined once.
     """
-    names = {s: s.name for s in model.states}
-    order = sorted(names, key=names.__getitem__)
-    rank = {s: r for r, s in enumerate(order)}
-    quoted = [_quote(names[s]) for s in order]
+    idx = model.index
+    order, n = idx.order, len(idx.order)
+    names = [s.name for s in order]
+    by_rank = sorted(range(n), key=names.__getitem__)  # bit of each rank
+    rank = [0] * n
+    for r, k in enumerate(by_rank):
+        rank[k] = r
+    quoted = [_quote(names[k]) for k in by_rank]
 
-    def states(sts) -> str:
-        return _json_block([quoted[r] for r in sorted(rank[s] for s in sts)], 2)
+    def ranked(mask: int) -> List[int]:
+        return sorted(rank[k] for k in positions(mask))
 
-    # An edge at depth 3 is "[", its source, its target and "]" on four lines.
+    def states(mask: int) -> str:
+        return _json_block([quoted[r] for r in ranked(mask)], 2)
+
+    # An edge at depth 3 is "[", its source, its target and "]" on four
+    # lines; consecutive edges are joined by ",\n" and six spaces.
     head = [f"[\n        {q},\n        " for q in quoted]
-    tail = [f"{q}\n      ]" for q in quoted]
-    n = len(order)
+    targets: Dict[int, List[str]] = {}  # a row's targets, each ending its edge
 
-    def edges(rel) -> str:
-        keys = sorted(rank[s] * n + rank[t] for (s, t) in rel)
-        return _json_block([head[k // n] + tail[k % n] for k in keys], 2)
+    def edges(rows: List[int]) -> str:
+        parts = []
+        for r, k in enumerate(by_rank):
+            row = rows[k]
+            if row:
+                tails = targets.get(row)
+                if tails is None:
+                    tails = targets[row] = [f"{quoted[t]}\n      ]" for t in ranked(row)]
+                parts.append(head[r] + (",\n      " + head[r]).join(tails))
+        return _json_block(parts, 2)
 
     doc = {
         "states": _json_block(quoted, 1),
         "agents": _json_block([_quote(a) for a in sorted(model.agents)], 1),
         "props": _json_block([_quote(p) for p in sorted(model.props)], 1),
-        "relations": _json_object({a: edges(model.relations[a]) for a in model.agents}, 1),
-        "valuation": _json_object({p: states(model.valuation[p]) for p in model.props}, 1),
-        "locals": _json_object({a: states(model.locals[a]) for a in model.agents}, 1),
+        "relations": _json_object({a: edges(idx.rows[a]) for a in model.agents}, 1),
+        "valuation": _json_object({p: states(idx.valuation[p]) for p in model.props}, 1),
+        "locals": _json_object({a: states(idx.locals[a]) for a in model.agents}, 1),
     }
     if model.meta:
         # Meta is small and may hold any JSON value, so `json` writes it.
@@ -242,7 +296,7 @@ def dumps_dot(model: KripkeModel) -> str:
             lines.append(_dot_node(model, s))
 
     for a in sorted(model.agents):
-        for (s, t) in sorted(model.relations[a]):
+        for (s, t) in model.relations[a]:  # in sorted order
             lines.append(f'  "{s.name}" -> "{t.name}" [label="{a}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,13 +13,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
 from operator import or_
 from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from .formulas import CertainAgent
-from .model import (Agent, Edge, KripkeModel, ModelError, StateId, positions,
-                    prune_unreachable)
+from .model import Agent, KripkeModel, ModelError, ModelIndex, StateId, carrier, state_key
 from .semantics import holds_for_agent
 
 UPDATE_KINDS = ("offline", "online", "lie_offline", "lie_online")
@@ -56,19 +54,23 @@ class UpdateResult:
 
 
 def _edge_diff(before: KripkeModel, after: KripkeModel):
-    # Models with no state in common, such as a lie's input and output,
-    # have no edge in common either.
-    disjoint = before.states.isdisjoint(after.states)
+    """Edges added and removed per agent, counted on the rows: edges both
+    models have are counted by carrying `after`'s rows into `before`'s
+    numbering, which states only `after` has drop out of."""
+    old_idx, new_idx = before.index, after.index
+    to_old = [old_idx.bit.get(s) for s in new_idx.order]
+    carry = carrier([0 if k is None else 1 << k for k in to_old])
     added, removed = {}, {}
     for a in sorted(before.agents | after.agents):
-        old = before.relations.get(a, frozenset())
-        new = after.relations.get(a, frozenset())
+        old, new = old_idx.rows.get(a), new_idx.rows.get(a)
         if new is old:
             added[a] = removed[a] = 0
-        elif disjoint:
-            added[a], removed[a] = len(new), len(old)
-        else:
-            added[a], removed[a] = len(new - old), len(old - new)
+            continue
+        common = 0 if old is None or new is None else sum(
+            (old[k] & carry(row)).bit_count()
+            for k, row in zip(to_old, new) if k is not None and row)
+        n_old, n_new = len(before.relations.get(a, ())), len(after.relations.get(a, ()))
+        added[a], removed[a] = n_new - common, n_old - common
     return added, removed
 
 
@@ -96,26 +98,21 @@ def update_offline(model: KripkeModel, j: Agent) -> UpdateResult:
     from the remaining agents' local states.
     """
     model.require_agent(j)
-    agents = model.agents - {j}
-    interim = KripkeModel(
-        states=model.states,
-        agents=agents,
-        props=model.props,
-        relations={a: model.relations[a] for a in agents},
-        valuation=model.valuation,
-        locals={a: model.locals[a] for a in agents},
-        meta=dict(model.meta),
-    )
-    seeds = frozenset().union(*(interim.locals[a] for a in agents)) if agents else frozenset()
-    pruned = prune_unreachable(interim, seeds)
-    return _finish(model, pruned, model.states - pruned.states)
+    idx = model.index
+    agents = sorted(model.agents - {j})
+    interim = ModelIndex(idx.order, {a: idx.rows[a] for a in agents}, idx.valuation,
+                         {a: idx.locals[a] for a in agents}, idx.bit)
+    kept = interim.closure(reduce(or_, interim.locals.values(), 0), agents)
+    after = KripkeModel.from_index(interim.restricted(kept), model.meta)
+    return _finish(model, after, idx.states_of(idx.full & ~kept))
 
 
 def update_online(model: KripkeModel, j: Agent,
                   new_locals: Iterable[StateId]) -> UpdateResult:
     """Announce truthfully that agent j has come online with the given local
     states.  j gets the universal (hence equivalence) relation over all
-    states; nothing else changes and no state is removed."""
+    states: every one of its rows is the full mask.  Nothing else changes
+    and no state is removed."""
     if j in model.agents:
         raise ModelError(f"agent already present: {j}")
     new_locals = frozenset(new_locals)
@@ -123,19 +120,11 @@ def update_online(model: KripkeModel, j: Agent,
         raise ModelError(f"new agent {j} needs a non-empty set of local states")
     for s in new_locals:
         model.require_state(s)
-    relations = dict(model.relations)
-    relations[j] = frozenset(product(model.states, model.states))
-    locals_ = dict(model.locals)
-    locals_[j] = new_locals
-    after = KripkeModel(
-        states=model.states,
-        agents=model.agents | {j},
-        props=model.props,
-        relations=relations,
-        valuation=model.valuation,
-        locals=locals_,
-        meta=dict(model.meta),
-    )
+    idx = model.index
+    after = KripkeModel.from_index(
+        ModelIndex(idx.order, {**idx.rows, j: [idx.full] * len(idx.order)}, idx.valuation,
+                   {**idx.locals, j: idx.mask(new_locals)}, idx.bit),
+        model.meta)
     return _finish(model, after, ())
 
 
@@ -155,11 +144,11 @@ def _split(model: KripkeModel, informed: FrozenSet[Agent], dropped: Optional[Age
     there.
 
     Which copies survive pruning is worked out on the input's successor
-    masks before any edge is made, so only kept edges are built.
+    masks first; then each kept copy's row is the input row carried into
+    the output's numbering.
     """
     idx = model.index
-    act = [s.tagged("act") for s in idx.order]
-    shift = [s.tagged("shift") for s in idx.order]
+    n = len(idx.order)
     agents = sorted(model.agents)
     misinformed = [a for a in agents if a not in informed]
     newcomer_locals = idx.mask(new_locals)
@@ -175,38 +164,35 @@ def _split(model: KripkeModel, informed: FrozenSet[Agent], dropped: Optional[Age
     else:
         shift_kept = idx.closure(shift_seeds, [a for a in agents if a != dropped])
 
-    def pick(copy, mask: int) -> List[StateId]:
-        return [copy[k] for k in positions(mask)]
+    # Number the kept copies in sorted order; act_at[k] and shift_at[k]
+    # are the one-bit masks of state k's copies there (0 when not kept).
+    copies = sorted([(s.tagged("act"), 0, k) for k, s in enumerate(idx.order) if act_kept >> k & 1]
+                    + [(s.tagged("shift"), 1, k) for k, s in enumerate(idx.order)
+                       if shift_kept >> k & 1],
+                    key=lambda c: state_key(c[0]))
+    act_at, shift_at = [0] * n, [0] * n
+    for pos, (_s, side, k) in enumerate(copies):
+        (shift_at if side else act_at)[k] = 1 << pos
+    to_act, to_shift = carrier(act_at), carrier(shift_at)
 
-    def edges(rows, kept: int, frm, to) -> List[Edge]:
-        return [(frm[k], to[t]) for k in positions(kept) for t in positions(rows[k])]
-
-    def copies(mask: int) -> FrozenSet[StateId]:
-        return frozenset(pick(act, mask & act_kept) + pick(shift, mask & shift_kept))
-
-    relations = {}
-    locals_ = {}
+    rows: Dict[Agent, List[int]] = {}
+    locals_: Dict[Agent, int] = {}
     for a in agents:
-        rows = idx.rows[a]
-        part = edges(rows, act_kept, act, act if a in informed else shift)
-        if a != dropped:
-            part += edges(rows, shift_kept, shift, shift)
-        relations[a] = frozenset(part)
-        locals_[a] = frozenset(pick(act if a in informed else shift, idx.locals[a]))
+        old = idx.rows[a]
+        into = to_act if a in informed else to_shift
+        rows[a] = [(0 if a == dropped else to_shift(old[k])) if side else into(old[k])
+                   for (_s, side, k) in copies]
+        locals_[a] = into(idx.locals[a])
     if newcomer is not None:
-        kept = pick(shift, shift_kept)
-        relations[newcomer] = frozenset(product(kept, kept))
-        locals_[newcomer] = frozenset(pick(shift, newcomer_locals))
-    after = KripkeModel(
-        states=copies(idx.full),
-        agents=frozenset(relations),
-        props=model.props,
-        relations=relations,
-        valuation={p: copies(m) for p, m in idx.valuation.items()},
-        locals=locals_,
-        meta=dict(model.meta),
-    )
-    discarded = pick(act, idx.full & ~act_kept) + pick(shift, idx.full & ~shift_kept)
+        kept = to_shift(shift_kept)
+        rows[newcomer] = [kept if side else 0 for (_s, side, _k) in copies]
+        locals_[newcomer] = to_shift(newcomer_locals)
+    after = KripkeModel.from_index(
+        ModelIndex(tuple(c[0] for c in copies), rows,
+                   {p: to_act(m) | to_shift(m) for p, m in idx.valuation.items()}, locals_),
+        model.meta)
+    discarded = ([s.tagged("act") for s in idx.states_of(idx.full & ~act_kept)]
+                 + [s.tagged("shift") for s in idx.states_of(idx.full & ~shift_kept)])
     return _finish(model, after, discarded)
 
 

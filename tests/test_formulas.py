@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -104,8 +106,8 @@ class TestUnparse:
         f = random_ast(random.Random(seed), depth=6)
         assert parse(unparse(f)) == f
 
-    # Deep formulas are compared as text: the dataclasses' generated `==`
-    # still recurses once per nesting level.
+    # Deep formulas are compared as text here; TestDeepFormulas compares them
+    # as values.
     @pytest.mark.parametrize("text", [
         "~" * 5000 + "p",
         "B[a] " * 5000 + "p",
@@ -137,3 +139,44 @@ class TestFormulaSymbols:
         agents, props = formula_symbols(parse(text))
         assert agents == ({"a"} if text.startswith("B") else frozenset())
         assert props == {"p"}
+
+
+DEEP = {
+    "negation": "~" * 5000 + "p",
+    "belief": "B[a] " * 5000 + "p",
+    "conjunction": " & ".join(["p"] * 5000),
+    "implication": " -> ".join(["p"] * 5000),
+}
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize("text", DEEP.values(), ids=DEEP.keys())
+    def test_compare_hash_and_repr(self, text):
+        f, g = parse(text), parse(text)
+        assert f is not g and f == g and not f != g
+        assert hash(f) == hash(g)
+        assert f != parse("~" + text) and f != parse(text.replace("p", "q", 1))
+        assert {f: 1}[g] == 1
+        r = repr(f)
+        assert r.startswith(type(f).__name__ + "(") and "Prop(name='p')" in r
+        nodes = sum(text.count(sym) for sym in ("~", "B[", "&", "->", "p"))
+        assert r.count("(") == r.count(")") == nodes
+
+    def test_repr_is_that_of_the_fields(self):
+        assert repr(parse("B[a] (p & C[a,b]) -> ~q")) == (
+            "Implies(left=Believes(agent='a', sub=And(left=Prop(name='p'), "
+            "right=CertainAgent(agent='a', about='b'))), right=Not(sub=Prop(name='q')))")
+
+    def test_equality_is_structural(self):
+        assert parse("p & q") != parse("p | q")
+        assert parse("C[a,b]") != parse("P[a,b]")
+        assert parse("B[a] p") != parse("B[b] p")
+        assert Prop("p") != "p"
+
+    @pytest.mark.parametrize("clone", [
+        lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_clones_are_equal_and_hash_alike(self, clone):
+        f = parse("B[a] (p & ~C[a,b]) -> P[b,a] | q")
+        g = clone(f)
+        assert g == f and hash(g) == hash(f)

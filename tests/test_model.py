@@ -75,6 +75,28 @@ class TestIndex:
                     assert successors(m, a, s) == {t for (u, t) in m.relations[a] if u == s}
 
 
+class TestModelValue:
+    def test_hashing_is_off(self):
+        with pytest.raises(TypeError, match="KripkeModel"):
+            hash(figure2())
+        assert KripkeModel.__hash__ is None
+
+    def test_models_are_immutable(self):
+        m = figure2()
+        with pytest.raises(AttributeError):
+            m.states = frozenset()
+
+    def test_equality_compares_edges_not_meta(self):
+        m = figure2()
+        same = KripkeModel(states=m.states, agents=m.agents, props=m.props,
+                           relations={a: set(m.relations[a]) for a in m.agents},
+                           valuation=m.valuation, locals=m.locals, meta={"name": "other"})
+        assert same == m
+        fewer = dict(m.relations, m=set(m.relations["m"]) - {(S("1"), S("2"))})
+        assert KripkeModel(states=m.states, agents=m.agents, props=m.props, relations=fewer,
+                           valuation=m.valuation, locals=m.locals) != m
+
+
 class TestValidation:
     def test_relation_endpoint_must_exist(self):
         with pytest.raises(ModelError, match="undeclared state"):

@@ -1,0 +1,207 @@
+"""Relations stored as successor rows: the edge view over them, the load and
+save path that passes them along, updates on them, and their cost."""
+
+import io
+import json
+import os
+import random
+import tempfile
+import time
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from epk import (KripkeModel, StateId, cli, dumps_model, holds_globally, lie_offline,
+                 lie_online, load_model, model_to_doc, parse, replicate_with_lineage,
+                 update_offline, update_online)
+from epk.model import Edges
+from helpers import fixture_path, random_sparse_model
+
+
+def S(name):
+    return StateId.parse(name)
+
+
+LINEAGES = ["", "@act", "@shift", "@act@shift", "@shift@act", "@act@act"]
+
+
+def lineage_model(rng, min_states=30, max_states=50):
+    """A random model whose state names carry lineage, so that they sort
+    differently as names and as states ("10" < "1@act", but state 1@act
+    comes first).  Densities vary per agent; one agent may be universal."""
+    pool = [f"{base}{tag}" for base in range(1, 21) for tag in LINEAGES]
+    names = rng.sample(pool, rng.randint(min_states, max_states))
+    agents = rng.sample(["a", "b", "c"], rng.randint(1, 3))
+    relations = {}
+    for a in agents:
+        density = rng.choice([0.0, 0.05, 0.3, 1.0])
+        relations[a] = [(s, t) for s in names for t in names if rng.random() < density]
+    return KripkeModel.build(
+        states=names, agents=agents, props=["p", "q"], relations=relations,
+        valuation={p: [s for s in names if rng.random() < 0.5] for p in ("p", "q")},
+        locals={a: rng.sample(names, rng.randint(1, 4)) for a in agents},
+        meta=rng.choice([{}, {"name": "lineage"}]))
+
+
+def row_edges(model, agent):
+    """The edges of `agent`'s rows, read bit by bit."""
+    idx = model.index
+    n = len(idx.order)
+    rows = idx.rows[agent]
+    return {(idx.order[k], idx.order[t]) for k in range(n) for t in range(n) if rows[k] >> t & 1}
+
+
+class TestEdgeView:
+    def test_size_membership_and_order(self):
+        m = load_model(fixture_path("figure2"))
+        view = m.relations["m"]
+        assert isinstance(view, Edges)
+        assert len(view) == 5
+        assert (S("1"), S("2")) in view
+        assert (S("3"), S("1")) not in view
+        assert (S("9"), S("1")) not in view
+        assert "12" not in view and None not in view
+        assert list(view) == sorted(view)
+
+    def test_set_operations_return_frozensets(self):
+        m = load_model(fixture_path("figure2"))
+        loops = {(s, s) for s in m.states}
+        assert m.relations["m"] - loops == {(S("1"), S("2")),
+                                            (S("2"), S("1"))}
+        assert isinstance(m.relations["m"] & loops, frozenset)
+        assert frozenset(m.relations["m"]) == m.relations["m"]
+
+    def test_relations_are_read_only(self):
+        m = load_model(fixture_path("figure2"))
+        with pytest.raises(TypeError):
+            m.relations["m"] = frozenset()
+        with pytest.raises(AttributeError):
+            m.relations = {}
+
+    def test_universal_relation_is_one_mask_per_row(self):
+        m = load_model(fixture_path("figure2"))
+        on = update_online(m, "z", {S("1")}).model
+        idx = on.index
+        assert idx.rows["z"] == [idx.full] * 3
+        assert len(on.relations["z"]) == 9
+
+    def test_replication_renumbers_when_the_order_changes(self):
+        # 1 < 1@act, but 1@act@shift < 1@shift.
+        m = KripkeModel.build(states=["1", "1@act"], agents=["a"], props=["p"],
+                              relations={"a": [("1", "1@act")]}, valuation={"p": ["1"]},
+                              locals={"a": ["1"]})
+        copy = replicate_with_lineage(m, "shift")
+        assert [s.name for s in copy.index.order] == ["1@act@shift", "1@shift"]
+        assert set(copy.relations["a"]) == {(S("1@shift"), S("1@act@shift"))}
+        assert copy.valuation["p"] == {S("1@shift")}
+
+
+class TestRoundTrip:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_load_dump_round_trip(self, seed):
+        m = lineage_model(random.Random(seed))
+        text = dumps_model(m)
+        assert text == json.dumps(model_to_doc(m), indent=2, sort_keys=True) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            again = load_model(path)
+        assert again == m
+        assert dumps_model(again) == text
+        for a in m.agents:
+            edges = row_edges(m, a)
+            assert m.relations[a] == edges and set(m.relations[a]) == edges
+            assert len(m.relations[a]) == len(edges)
+            assert again.relations[a] == edges
+
+
+class TestUpdatesOnLineageNames:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=15, deadline=None)
+    def test_updates_agree_with_oracles(self, seed):
+        # Copies of 1 and 1@act interleave in the output's sorted order.
+        rng = random.Random(seed)
+        base = lineage_model(rng, 20, 35)
+        agents = sorted(base.agents)
+        i = agents[0]
+        locs = set(rng.sample(sorted(base.states), 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pairs = [
+                (update_offline(base, i), oracles.oracle_update_offline(base, i)),
+                (update_online(base, "z", locs), oracles.oracle_update_online(base, "z", locs)),
+                (lie_online(base, i, "z", locs), oracles.oracle_lie_online(base, i, "z", locs)),
+            ]
+            if len(agents) > 1:
+                j = agents[-1]
+                pairs.append((lie_offline(base, i, j), oracles.oracle_lie_offline(base, i, j)))
+        for res, expected in pairs:
+            assert res.model == expected
+            assert dumps_model(res.model) == json.dumps(model_to_doc(res.model), indent=2,
+                                                        sort_keys=True) + "\n"
+            for a in base.agents | expected.agents:
+                old = set(base.relations.get(a, ()))
+                new = set(expected.relations.get(a, ()))
+                assert (res.added_edges[a], res.removed_edges[a]) == (len(new - old),
+                                                                      len(old - new))
+
+
+def _best_time(fn, k=3):
+    best = float("inf")
+    for _ in range(k):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestComplexity:
+    def test_online_costs_a_constant_factor_of_a_belief_query(self):
+        # The newcomer's universal relation is one full mask per state, so
+        # announcing it costs O(|S|), like one pass of the evaluator over
+        # the states.  Written out as |S|^2 edges it costs thousands of
+        # times more at this size.
+        m = random_sparse_model(random.Random(3000), 3000)
+        f = parse("B[a] p")
+        holds_globally(m, f)
+        locs = {m.index.order[0]}
+        ratio = (_best_time(lambda: update_online(m, "z", locs))
+                 / _best_time(lambda: holds_globally(m, f)))
+        assert ratio <= 10, f"update_online took {ratio:.1f}x a belief query"
+
+
+class TestNoEdgeObjects:
+    def test_cli_never_iterates_an_edge_view(self, tmp_path, monkeypatch):
+        # Loading, updating, checking, validating and saving pass rows
+        # along; any edge set made on the way would iterate a view.
+        def refuse(self):
+            raise AssertionError("an edge view was iterated")
+
+        monkeypatch.setattr(Edges, "__iter__", refuse)
+        src = fixture_path("figure2_minus_g")
+        steps = [
+            [src, "update", "lie-online", "--liar", "m", "--new", "g", "--locals", "3",
+             "-o", str(tmp_path / "1.json")],
+            [str(tmp_path / "1.json"), "update", "online", "h", "--locals", "1@shift",
+             "-o", str(tmp_path / "2.json")],
+            [str(tmp_path / "2.json"), "update", "lie-offline", "--liar", "f", "--target", "g",
+             "-o", str(tmp_path / "3.json")],
+            [str(tmp_path / "3.json"), "update", "offline", "h", "-o", str(tmp_path / "4.json")],
+            [str(tmp_path / "4.json"), "validate", "--mode", "local"],
+            [str(tmp_path / "4.json"), "validate", "--mode", "global"],
+            [str(tmp_path / "2.json"), "check", "--global", "C[f,h]"],
+            [str(tmp_path / "2.json"), "check", "--agent", "f", "B[f] C[f,g]"],
+            [str(tmp_path / "2.json"), "check", "--state", "1@shift", "P[m,h]"],
+            [str(tmp_path / "2.json"), "show"],
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for argv in steps:
+                out, err = io.StringIO(), io.StringIO()
+                assert cli.main(argv, out=out, err=err) == 0, (argv, err.getvalue())
+                assert err.getvalue() == ""

@@ -88,6 +88,19 @@ class TestDocuments:
         with pytest.raises(DocumentError, match="line 2"):
             load_model(str(p))
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",                               # not UTF-8
+        b"[" * 100000 + b"]" * 100000,               # nested past the parser's stack
+        b'{"states": ' + b"1" * 5000 + b"}",          # an integer too long to convert
+    ], ids=["encoding", "nesting", "long-integer"])
+    def test_unreadable_json_is_a_document_error(self, tmp_path, content):
+        p = tmp_path / "bad.json"
+        p.write_bytes(content)
+        with pytest.raises(DocumentError, match="bad.json"):
+            load_model(str(p))
+        code, out, err = run_cli(str(p), "show")
+        assert (code, out) == (2, "") and err.startswith("epk: error:")
+
     def test_roundtrip_is_canonical(self, tmp_path):
         p = tmp_path / "m.json"
         save_model(figure2(), str(p))
@@ -328,6 +341,23 @@ class TestCli:
                                  "(" * 5000 + "p" + ")" * 5000)
         assert code == 2 and out == ""
         assert err.startswith("epk: error:") and "nested" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["x.json", "frobnicate"],
+        ["x.json", "check", "--state"],
+        ["x.json", "update", "online", "j"],
+        ["x.json", "validate", "--mode", "sideways"],
+        [],
+    ], ids=["command", "missing-value", "missing-option", "bad-choice", "nothing"])
+    def test_usage_errors_return_2_and_write_to_err(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: epk") and "error:" in err
+
+    def test_help_goes_to_out_and_returns_0(self):
+        code, out, err = run_cli("--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: epk") and "update" in out
 
     def test_errors_exit_2(self, tmp_path):
         code, _, err = run_cli(str(tmp_path / "missing.json"), "show")
