@@ -35,45 +35,60 @@ def _witnesses(order, rows: List[int], domain: int) -> Dict[str, Tuple[StateId, 
     """Each property that the relation with successor rows `rows` (over the
     sorted numbering `order`) fails on the states in `domain`, with its
     lexicographically least counterexample.  Rows of domain states must
-    lie within `domain`; other rows are not read.  Each property costs one
-    mask test per state or per edge."""
-    dom = list(positions(domain))
+    lie within `domain`; other rows are not read.
 
-    def least(mask: int) -> StateId:
-        return order[(mask & -mask).bit_length() - 1]
+    Each property is tested once per distinct row, against that row's
+    targets: one by one, or grouped by their own distinct rows where those
+    are fewer.  Every row of a universal block is the same mask, so a block
+    costs one test where it would cost one per edge."""
+    # each distinct row with the domain states holding it, in order of
+    # their least state
+    distinct: Dict[int, int] = {}
+    for k in positions(domain):
+        distinct[rows[k]] = distinct.get(rows[k], 0) | 1 << k
 
-    def first_triple(fails) -> Optional[Tuple[StateId, ...]]:
-        """The least (s, t, u) with (s, t) an edge and u in fails(s's row, t's row)."""
-        for k in dom:
-            row = rows[k]
-            for t in positions(row):
-                bad = fails(row, rows[t])
-                if bad:
-                    return (order[k], order[t], least(bad))
-        return None
+    def low(mask: int) -> int:
+        return (mask & -mask).bit_length() - 1
 
-    witnesses: Dict[str, Tuple[StateId, ...]] = {}
-    for k in dom:
-        if not rows[k] >> k & 1:
-            witnesses["reflexive"] = (order[k],)
-            break
-    for k in dom:
-        if not rows[k]:
-            witnesses["serial"] = (order[k],)
-            break
-    # symmetric: s is a successor of each of its successors t
-    w = next(((order[k], order[t]) for k in dom for t in positions(rows[k])
-              if not rows[t] >> k & 1), None)
-    if w:
-        witnesses["symmetric"] = w
-    # transitive: every successor u of a successor t of s is a successor of s
-    # Euclidean: every successor u of s is a successor of each successor t of s
-    for name, fails in (("transitive", lambda s_row, t_row: t_row & ~s_row),
-                        ("euclidean", lambda s_row, t_row: s_row & ~t_row)):
-        w = first_triple(fails)
-        if w:
-            witnesses[name] = w
-    return witnesses
+    def targets(row: int) -> List[Tuple[int, int]]:
+        """Disjoint (targets, their row) pairs covering the targets of `row`."""
+        if row.bit_count() <= len(distinct):
+            return [(1 << t, rows[t]) for t in positions(row)]
+        return [(held & row, t_row) for t_row, held in distinct.items() if held & row]
+
+    def least(found) -> Optional[Tuple[StateId, ...]]:
+        """The least counterexample (s, ...) of those `found(row, held)`
+        gives for each distinct row and the states `held` that hold it.
+        Its s is one of them, so rows whose least state comes after the
+        best s so far are not asked."""
+        best = None
+        for row, held in distinct.items():
+            if best is not None and low(held) > best[0]:
+                break
+            for w in found(row, held):
+                best = w if best is None else min(best, w)
+        return best and tuple(order[k] for k in best)
+
+    def missing(mask: int, row: int) -> int:
+        """The states of `mask` not in `row`."""
+        return mask ^ (mask & row)
+
+    found = {
+        # every state is its own successor
+        "reflexive": lambda row, held: [(low(missing(held, row)),)] if missing(held, row) else [],
+        # s is a successor of each of its successors t
+        "symmetric": lambda row, held: [(low(missing(held, t_row)), low(ts))
+                                        for ts, t_row in targets(row) if missing(held, t_row)],
+        # every state has a successor
+        "serial": lambda row, held: [] if row else [(low(held),)],
+        # every successor u of a successor t of s is a successor of s
+        "transitive": lambda row, held: [(low(held), low(ts), low(missing(t_row, row)))
+                                         for ts, t_row in targets(row) if missing(t_row, row)],
+        # every successor u of s is a successor of each successor t of s
+        "euclidean": lambda row, held: [(low(held), low(ts), low(missing(row, t_row)))
+                                        for ts, t_row in targets(row) if missing(row, t_row)],
+    }
+    return {name: w for name, w in ((name, least(f)) for name, f in found.items()) if w}
 
 
 def _report(agent: Agent, domain: FrozenSet[StateId], witnesses) -> FramePropertyReport:

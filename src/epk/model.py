@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
@@ -131,8 +132,23 @@ def pack(flags: Iterable[object]) -> int:
     return int("".join("1" if f else "0" for f in flags)[::-1] or "0", 2)
 
 
+# Bytes of binary digits to bytes of 0s and 1s, for `itertools.compress`.
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def positions(mask: int) -> Iterator[int]:
-    """The numbers of the bits set in `mask`, lowest first."""
+    """The numbers of the bits set in `mask`, lowest first.
+
+    Stepping from one bit to the next costs a few operations on the whole
+    mask, so a mask with many bits set is read from its binary digits
+    instead: one pass in C, O(|mask|) in all.  The two cost the same at
+    about 128 bits set, on masks of 10^3 to 10^5 bits."""
+    if mask.bit_count() > 128:
+        return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS))
+    return _step(mask)
+
+
+def _step(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from epk import StateId, check_properties, classify_model, is_kd45, is_s5
+from epk import (StateId, check_properties, classify_model, holds_globally, is_kd45, is_s5,
+                 parse, update_online)
 from epk.frames import PROPERTIES
 from epk.model import ModelError
-from helpers import figure2, random_local_kd45_model
+from helpers import figure2, random_local_kd45_model, random_sparse_model
 
 
 def S(name):
@@ -159,8 +160,8 @@ def _best_time(fn, k=3):
 
 class TestComplexity:
     def test_universal_relation_costs_a_constant_factor_of_building_it(self):
-        # Each property is one mask test per state or per edge, so checking
-        # a relation costs a constant factor of building it.  The universal
+        # Each property is one mask test per distinct row and target, so
+        # checking a relation costs a constant factor of building it.  The universal
         # relation is the worst case for a check that walks the successors
         # of every edge: m edges of n states each, O(n^3).  A ratio of
         # best-of-k times stays stable where wall-clock does not.
@@ -171,3 +172,17 @@ class TestComplexity:
         assert all(getattr(rep, p) for p in PROPERTIES)
         ratio = _best_time(lambda: check_properties(rel, dom)) / _best_time(build)
         assert ratio <= 20, f"check_properties took {ratio:.1f}x building the relation"
+
+    def test_universal_block_costs_a_constant_factor_of_a_belief_query(self):
+        # The newcomer of an online update holds the universal relation:
+        # 10^6 edges, but one distinct row.  Each property is tested once
+        # per distinct row, so the report costs about what a belief query
+        # over the same rows costs; tested once per edge, it cost |S|^2.
+        base = random_sparse_model(random.Random(1), 1000)
+        m = update_online(base, "j", [base.index.order[0]]).model
+        reports = classify_model(m, "global")
+        assert is_s5(reports["j"]) and is_kd45(reports["j"])
+        query = parse("B[j] p")
+        ratio = (_best_time(lambda: classify_model(m, "global"))
+                 / _best_time(lambda: holds_globally(m, query)))
+        assert ratio <= 20, f"classify_model took {ratio:.1f}x a belief query"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from epk import (KripkeModel, ModelError, StateId, holds_at, prune_unreachable,
                  reachable_from, replicate_with_lineage, subjective_relation,
                  successors)
+from epk.model import positions
 from helpers import figure2, random_formula, random_local_kd45_model
 
 
@@ -73,6 +74,18 @@ class TestIndex:
             for a in m.agents:
                 for s in m.states:
                     assert successors(m, a, s) == {t for (u, t) in m.relations[a] if u == s}
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=100, deadline=None)
+    def test_positions_are_the_bits_set(self, seed):
+        # Masks with few bits set and with many (read from the binary
+        # digits) take different paths; both must list the same bits.
+        rng = random.Random(seed)
+        width = rng.randint(1, 3000)
+        mask = 0
+        for k in rng.sample(range(width), rng.randint(0, min(width, 400))):
+            mask |= 1 << k
+        assert list(positions(mask)) == [k for k in range(width) if mask >> k & 1]
 
 
 class TestModelValue:

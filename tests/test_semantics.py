@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from epk import (KripkeModel, ModelError, StateId, holds_at, holds_for_agent,
                  holds_globally, parse, presence_at, sat)
-from epk.formulas import And, Believes, CertainAgent, Implies, Not, PossibleAgent
+from epk.formulas import And, Believes, CertainAgent, Implies, Not, Or, PossibleAgent
 from epk.frames import check_properties
 from helpers import (figure2, random_formula, random_local_kd45_model,
                      random_sparse_model)
@@ -72,11 +72,65 @@ class TestSat:
         g = parse("B[m] p")
         assert sat(m, And(g, Not(g))) == 0
 
+    def test_subformula_shared_under_a_box_and_a_connective(self):
+        # g is asked at the point itself (under ~) and at the point's
+        # f-successors (under B[f]): its need is the union of the two.
+        m = figure2()
+        g = parse("B[m] p")
+        f = Or(Believes("f", g), Not(g))
+        whole = sat(m, f)
+        assert whole == 0b111
+        for w in range(8):
+            assert sat(m, f, w) == whole & w
+        # g holds at 3 only, the f-successor of every state.
+        assert holds_at(m, S("1"), And(Believes("f", g), Not(g))) is True
+        assert holds_at(m, S("3"), And(Believes("f", g), Not(g))) is False
+
     def test_leftmost_unknown_symbol_is_reported(self):
         with pytest.raises(ModelError, match="zzz"):
             sat(figure2(), parse("zzz & B[yy] p"))
         with pytest.raises(ModelError, match="yy"):
             sat(figure2(), parse("B[yy] zzz"))
+
+    def test_unknown_symbol_no_needed_state_reaches_is_reported(self):
+        # State 1 has no g-successor, so B[g] asks its operand nowhere.
+        m = figure2()
+        with pytest.raises(ModelError, match="zzz"):
+            holds_at(m, S("1"), parse("B[g] zzz"))
+        with pytest.raises(ModelError, match="zzz"):
+            sat(m, parse("p | zzz"), 0)
+        with pytest.raises(ModelError, match="yy"):
+            holds_for_agent(m, "f", parse("B[g] B[m] C[yy,m]"))
+
+    @pytest.mark.parametrize("within", [-1, 0b1000, 1 << 70, 0b1111, 1.0, "1"])
+    def test_within_outside_the_model_errors(self, within):
+        with pytest.raises(ModelError, match="not a mask of the model's 3 states"):
+            sat(figure2(), parse("p"), within)
+
+    def test_within_selects_states(self):
+        m = figure2()
+        assert sat(m, parse("p"), 0) == 0
+        assert sat(m, parse("p"), 0b100) == 0b100
+        assert sat(m, parse("p"), 0b110) == 0b100
+        assert sat(m, parse("p"), None) == sat(m, parse("p"), m.index.full) == 0b101
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=50, deadline=None)
+    def test_within_is_the_whole_mask_restricted(self, seed):
+        rng = random.Random(seed)
+        m = random_sparse_model(rng, rng.randint(30, 50), max_degree=3)
+        idx = m.index
+        g = random_formula(rng, m.agents, m.props, depth=2, extra_about=["zz"])
+        h = random_formula(rng, m.agents, m.props, depth=2, extra_about=["zz"])
+        # g sits under two parents, one of them a box.
+        f = rng.choice([And, Or, Implies])(Believes(rng.choice(sorted(m.agents)), g),
+                                           rng.choice([g, Not(g), Or(g, h)]))
+        one = 1 << rng.randrange(len(idx.order))
+        some = rng.getrandbits(len(idx.order))
+        for formula in (f, g):
+            whole = sat(m, formula)
+            for w in [0, one, some, idx.full, *idx.locals.values()]:
+                assert sat(m, formula, w) == whole & w
 
 
 class TestHoldsForAgent:
@@ -185,6 +239,20 @@ class TestLargerModels:
             assert holds_for_agent(m, a, f) == oracles.eval_for_agent(m, a, f)
         assert holds_globally(m, f) == all(truth.values())
 
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=15, deadline=None)
+    def test_pointed_queries_agree_with_oracle_on_300_to_500_states(self, seed):
+        # Degree at most 3 and modal depth at most 3 keep each point's need
+        # to a few dozen states, so the bit-by-bit kernels do the work.
+        rng = random.Random(seed)
+        m = random_sparse_model(rng, rng.randint(300, 500), max_degree=3)
+        for _ in range(3):
+            f = random_formula(rng, m.agents, m.props, depth=3, extra_about=["zz"])
+            for s in rng.sample(sorted(m.states), 10):
+                assert holds_at(m, s, f) == oracles.eval_at(m, s, f)
+            for a in sorted(m.agents):
+                assert holds_for_agent(m, a, f) == oracles.eval_for_agent(m, a, f)
+
 
 def _best_time(fn, k=5):
     best = float("inf")
@@ -208,3 +276,17 @@ class TestComplexity:
         ratio = (_best_time(lambda: holds_globally(m, agency))
                  / _best_time(lambda: holds_globally(m, belief)))
         assert ratio <= 5, f"C/P evaluation took {ratio:.1f}x belief-only evaluation"
+
+    def test_pointed_queries_cost_the_states_they_need(self):
+        # Three nested boxes ask a point about the states within three
+        # edges of it, a few dozen here, where a global query labels all
+        # 10,000.  The tautology keeps any evaluator from stopping early.
+        m = random_sparse_model(random.Random(1), 10000)
+        f = parse("B[a] B[b] B[c] (p | ~p)")
+        point = m.index.order[0]
+        assert holds_at(m, point, f) and holds_for_agent(m, "a", f) and holds_globally(m, f)
+        whole = _best_time(lambda: holds_globally(m, f), k=3)
+        for scope, query in (("holds_at", lambda: holds_at(m, point, f)),
+                             ("holds_for_agent", lambda: holds_for_agent(m, "a", f))):
+            ratio = _best_time(query, k=3) / whole
+            assert ratio <= 0.1, f"{scope} took {ratio:.2f}x holds_globally"
