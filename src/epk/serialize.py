@@ -3,10 +3,16 @@
 The document schema mirrors the model directly:
 
     {"states": [str], "agents": [str], "props": [str],
-     "relations": {agent: [[s, t], ...]},
+     "relations": {agent: {s: [t, ...]}},
      "valuation": {prop: [s, ...]},
      "locals": {agent: [s, ...]},
      "meta": {str: str}}              (meta is optional)
+
+Each relation is an adjacency map from a source to the list of its
+successors.  Loading also reads the older form of a relation, a list of
+`[s, t]` pairs, chosen per agent by its JSON type; saving writes maps
+only, listing just the sources that have a successor.  A JSON object
+that gives one key twice is an error, not a silent overwrite.
 
 State names carry lineage inline: "3@act", "1@act@shift".  Saving always
 emits the canonical form (sorted keys, sorted lists), so a canonical
@@ -37,12 +43,18 @@ class DocumentError(ValueError):
 
 
 def model_to_doc(model: KripkeModel) -> dict:
+    idx = model.index
+    names = [s.name for s in idx.order]
+
+    def successors(rows: List[int]) -> Dict[str, List[str]]:
+        return dict(sorted((names[k], sorted(names[t] for t in positions(row)))
+                           for k, row in enumerate(rows) if row))
+
     doc = {
-        "states": sorted(s.name for s in model.states),
+        "states": sorted(names),
         "agents": sorted(model.agents),
         "props": sorted(model.props),
-        "relations": {a: sorted([s.name, t.name] for (s, t) in model.relations[a])
-                      for a in sorted(model.agents)},
+        "relations": {a: successors(idx.rows[a]) for a in sorted(model.agents)},
         "valuation": {p: sorted(s.name for s in model.valuation[p])
                       for p in sorted(model.props)},
         "locals": {a: sorted(s.name for s in model.locals[a])
@@ -70,40 +82,52 @@ def _string_lists(value, where: str) -> dict:
 _source, _target = itemgetter(0), itemgetter(1)
 
 
-def _bad_pair(a: str, pairs: list) -> None:
-    """Raise for the first element of `pairs` that is not a pair of state
-    names, if there is one."""
-    for k, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and isinstance(pair[0], str) and isinstance(pair[1], str)):
-            raise DocumentError(f"relations.{a}[{k}] must be a pair of state names [s, t]")
-
-
-def _rows(a: str, pairs: list, bit: Dict[str, int], one: Dict[str, int]) -> List[int]:
-    """Agent a's successor rows from its list of [s, t] name pairs, where
-    `bit` numbers the names and `one` holds each name's one-bit mask."""
+def _rows(a: str, relation, bit: Dict[str, int], one: Dict[str, int]) -> List[int]:
+    """Agent a's successor rows from its relation, an adjacency map
+    {s: [t, ...]} or a list of [s, t] name pairs, where `bit` numbers the
+    names and `one` holds each name's one-bit mask."""
     row = [0] * len(bit)
     try:
-        # Pairs with one source are ORed into its row in C.  An element
+        # Each source's targets are ORed into its row in C.  An element
         # that is not a declared name fails its lookup.
-        if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
-            for s, group in groupby(pairs, _source):
+        if type(relation) is dict:
+            if set(map(type, relation.values())) <= {list}:
+                for s, targets in relation.items():
+                    row[bit[s]] = reduce(or_, map(one.__getitem__, targets), 0)
+                return row
+        elif set(map(type, relation)) <= {list} and set(map(len, relation)) <= {2}:
+            for s, group in groupby(relation, _source):
                 row[bit[s]] |= reduce(or_, map(one.__getitem__, map(_target, group)))
             return row
     except (TypeError, KeyError):
         pass
-    _bad_pair(a, pairs)
-    bad = next(x for pair in pairs for x in pair if x not in bit)
-    raise ModelError(f"relation for {a} uses undeclared state {bad}")
+    raise DocumentError(_relation_fault(a, relation, bit))
+
+
+def _relation_fault(a: str, relation, bit: Dict[str, int]) -> str:
+    """What is wrong with agent a's relation, which `_rows` refused."""
+    if type(relation) is dict:
+        for s, targets in relation.items():
+            if type(targets) is not list or not all(type(t) is str for t in targets):
+                return f"relations.{a}.{s} must be a list of state names"
+        names = (x for s, targets in relation.items() for x in (s, *targets))
+    else:
+        for k, pair in enumerate(relation):
+            if not (type(pair) is list and len(pair) == 2
+                    and type(pair[0]) is str and type(pair[1]) is str):
+                return f"relations.{a}[{k}] must be a pair of state names [s, t]"
+        names = (x for pair in relation for x in pair)
+    return f"relations.{a} uses undeclared state {next(x for x in names if x not in bit)}"
 
 
 def doc_to_model(doc: dict) -> KripkeModel:
     """The model a document describes.  Every field must have exactly the
-    shape of the schema above; anything else raises `DocumentError`.
+    shape of the schema above, a relation either shape; anything else
+    raises `DocumentError`.
 
     Each state name is parsed once and given its bit in the sorted
-    numbering, and each relation pair is ORed into its source's row: no
-    edge object is made."""
+    numbering, and each source's targets are ORed into its row: no edge
+    object is made."""
     if not isinstance(doc, dict):
         raise DocumentError("model document must be a JSON object")
     for key in ("states", "agents", "props", "relations", "valuation", "locals"):
@@ -115,9 +139,9 @@ def doc_to_model(doc: dict) -> KripkeModel:
     relations = doc["relations"]
     if not isinstance(relations, dict):
         raise DocumentError("relations must be a JSON object")
-    for a, pairs in relations.items():
-        if not isinstance(pairs, list):
-            raise DocumentError(f"relations.{a} must be a list of [s, t] pairs")
+    for a, relation in relations.items():
+        if type(relation) not in (dict, list):
+            raise DocumentError(f"relations.{a} must be an adjacency map or a list of [s, t] pairs")
     valuation = _string_lists(doc["valuation"], "valuation")
     locals_ = _string_lists(doc["locals"], "locals")
     meta = doc.get("meta", {})
@@ -129,7 +153,7 @@ def doc_to_model(doc: dict) -> KripkeModel:
         bit = dict(zip(names, range(len(names))))
         one = {name: 1 << k for name, k in bit.items()}
         check_symbols(agents, props, relations, valuation, locals_)
-        rows = {a: _rows(a, pairs, bit, one) for a, pairs in relations.items()}
+        rows = {a: _rows(a, relation, bit, one) for a, relation in relations.items()}
         vmasks = {p: mask_of(sts, bit, f"valuation of {p} names undeclared state {{}}")
                   for p, sts in valuation.items()}
         lmasks = {a: mask_of(sts, bit, f"local state {{}} of agent {a} is undeclared")
@@ -140,17 +164,28 @@ def doc_to_model(doc: dict) -> KripkeModel:
         raise DocumentError(str(e)) from e
 
 
+def _members(pairs: list) -> dict:
+    """A JSON object's members, refusing a key given twice: `json` would
+    keep the last one and drop the rest unseen."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _v in pairs]
+        dup = next(k for k in keys if keys.count(k) > 1)
+        raise DocumentError(f"duplicate key {_quote(dup)} in a JSON object")
+    return obj
+
+
 def load_model(path: str) -> KripkeModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_members)
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
     except OSError as e:
         raise DocumentError(f"{path}: {e.strerror}") from e
     except RecursionError:
         raise DocumentError(f"{path}: JSON nested too deeply") from None
-    except ValueError as e:  # text that is not UTF-8, or an integer too long to convert
+    except ValueError as e:  # not UTF-8, an integer too long to convert, or a duplicate key
         raise DocumentError(f"{path}: {e}") from e
     try:
         return doc_to_model(doc)
@@ -181,9 +216,10 @@ def dumps_model(model: KripkeModel) -> str:
 
     Names sort differently from states ("10" < "1@act", but state 1@act
     comes first), so the states are ranked by name once and each name is
-    encoded once.  Edges are written straight from the successor rows:
-    sources in rank order, and each distinct row's targets ranked and
-    joined once.
+    encoded once.  Relations are written straight from the successor
+    rows: sources in rank order, and the text of each distinct row's
+    target list made once, so every row of a universal block is one
+    cached string.
     """
     idx = model.index
     order, n = idx.order, len(idx.order)
@@ -200,27 +236,25 @@ def dumps_model(model: KripkeModel) -> str:
     def states(mask: int) -> str:
         return _json_block([quoted[r] for r in ranked(mask)], 2)
 
-    # An edge at depth 3 is "[", its source, its target and "]" on four
-    # lines; consecutive edges are joined by ",\n" and six spaces.
-    head = [f"[\n        {q},\n        " for q in quoted]
-    targets: Dict[int, List[str]] = {}  # a row's targets, each ending its edge
+    keys = [q + ": " for q in quoted]
+    targets: Dict[int, str] = {}  # a row's target list, at depth 3
 
-    def edges(rows: List[int]) -> str:
+    def successors(rows: List[int]) -> str:
         parts = []
         for r, k in enumerate(by_rank):
             row = rows[k]
             if row:
-                tails = targets.get(row)
-                if tails is None:
-                    tails = targets[row] = [f"{quoted[t]}\n      ]" for t in ranked(row)]
-                parts.append(head[r] + (",\n      " + head[r]).join(tails))
-        return _json_block(parts, 2)
+                text = targets.get(row)
+                if text is None:
+                    text = targets[row] = _json_block([quoted[t] for t in ranked(row)], 3)
+                parts.append(keys[r] + text)
+        return _json_block(parts, 2, "{}")
 
     doc = {
         "states": _json_block(quoted, 1),
         "agents": _json_block([_quote(a) for a in sorted(model.agents)], 1),
         "props": _json_block([_quote(p) for p in sorted(model.props)], 1),
-        "relations": _json_object({a: edges(idx.rows[a]) for a in model.agents}, 1),
+        "relations": _json_object({a: successors(idx.rows[a]) for a in model.agents}, 1),
         "valuation": _json_object({p: states(idx.valuation[p]) for p in model.props}, 1),
         "locals": _json_object({a: states(idx.locals[a]) for a in model.agents}, 1),
     }

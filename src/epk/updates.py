@@ -56,10 +56,14 @@ class UpdateResult:
 def _edge_diff(before: KripkeModel, after: KripkeModel):
     """Edges added and removed per agent, counted on the rows: edges both
     models have are counted by carrying `after`'s rows into `before`'s
-    numbering, which states only `after` has drop out of."""
+    numbering, which states only `after` has drop out of.  When both
+    models share one numbering the rows compare as they are."""
     old_idx, new_idx = before.index, after.index
-    to_old = [old_idx.bit.get(s) for s in new_idx.order]
-    carry = carrier([0 if k is None else 1 << k for k in to_old])
+    if new_idx.order is old_idx.order:
+        to_old, carry = range(len(old_idx.order)), (lambda mask: mask)
+    else:
+        to_old = [old_idx.bit.get(s) for s in new_idx.order]
+        carry = carrier([0 if k is None else 1 << k for k in to_old])
     added, removed = {}, {}
     for a in sorted(before.agents | after.agents):
         old, new = old_idx.rows.get(a), new_idx.rows.get(a)

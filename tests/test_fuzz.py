@@ -44,9 +44,10 @@ names = st.sampled_from(["1", "2", "3", "1@act", "2@shift", "1@bogus", "", "a", 
                          "a b", "9"])
 name_lists = st.lists(names, max_size=4) | json_values
 pairs = st.lists(st.lists(names, min_size=0, max_size=3) | json_values, max_size=5)
+adjacency = st.dictionaries(names, st.lists(names, max_size=4) | json_values, max_size=4)
 documents = st.fixed_dictionaries(
     {"states": name_lists, "agents": name_lists, "props": name_lists,
-     "relations": st.dictionaries(names, pairs, max_size=3) | json_values,
+     "relations": st.dictionaries(names, pairs | adjacency, max_size=3) | json_values,
      "valuation": st.dictionaries(names, name_lists, max_size=2) | json_values,
      "locals": st.dictionaries(names, name_lists, max_size=3) | json_values},
     optional={"meta": st.dictionaries(st.text(max_size=4), st.text(max_size=4) | json_values,
@@ -106,4 +107,10 @@ class TestArguments:
             path = os.path.join(tmp, "m.json")
             shutil.copyfile(fixture_path("figure2"), path)
             out = os.path.join(tmp, "out.json")
-            run([path] + [out if t == "OUT" else t for t in tokens])
+            # "-o" may take any token as a relative path: keep it in tmp.
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                run([path] + [out if t == "OUT" else t for t in tokens])
+            finally:
+                os.chdir(cwd)

@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from epk import (KripkeModel, StateId, cli, dumps_model, holds_globally, lie_offline,
-                 lie_online, load_model, model_to_doc, parse, replicate_with_lineage,
-                 update_offline, update_online)
-from epk.model import Edges
+from epk import (KripkeModel, StateId, cli, doc_to_model, dumps_model, holds_globally,
+                 lie_offline, lie_online, load_model, model_to_doc, parse,
+                 replicate_with_lineage, update_offline, update_online)
+from epk.model import Edges, ModelIndex
+from epk.updates import _edge_diff
 from helpers import fixture_path, random_sparse_model
 
 
@@ -119,6 +120,20 @@ class TestRoundTrip:
             assert len(m.relations[a]) == len(edges)
             assert again.relations[a] == edges
 
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_pair_lists_and_adjacency_maps_load_alike(self, seed):
+        rng = random.Random(seed)
+        m = lineage_model(rng)
+        maps = model_to_doc(m)
+        pairs = {**maps, "relations": {}}
+        for a in m.agents:
+            edges = [[s.name, t.name] for (s, t) in m.relations[a]]
+            pairs["relations"][a] = rng.sample(edges, len(edges))
+        text = json.dumps(maps, indent=2, sort_keys=True) + "\n"
+        assert doc_to_model(pairs) == doc_to_model(maps) == m
+        assert dumps_model(doc_to_model(pairs)) == dumps_model(doc_to_model(maps)) == text
+
 
 class TestUpdatesOnLineageNames:
     @given(st.integers(0, 10**9))
@@ -149,6 +164,23 @@ class TestUpdatesOnLineageNames:
                 new = set(expected.relations.get(a, ()))
                 assert (res.added_edges[a], res.removed_edges[a]) == (len(new - old),
                                                                       len(old - new))
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=30, deadline=None)
+    def test_edge_diff_on_one_numbering(self, seed):
+        # Models that share one numbering compare their rows as they are.
+        rng = random.Random(seed)
+        before = lineage_model(rng)
+        idx = before.index
+        n = len(idx.order)
+        rows = {a: [rng.getrandbits(n) if rng.random() < 0.3 else row for row in rows]
+                for a, rows in idx.rows.items()}
+        after = KripkeModel.from_index(ModelIndex(idx.order, rows, idx.valuation, idx.locals))
+        assert after.index.order is idx.order
+        old = {a: set(before.relations[a]) for a in before.agents}
+        new = {a: set(after.relations[a]) for a in after.agents}
+        assert _edge_diff(before, after) == ({a: len(new[a] - old[a]) for a in old},
+                                             {a: len(old[a] - new[a]) for a in old})
 
 
 def _best_time(fn, k=3):

@@ -2,7 +2,10 @@ import io
 import json
 import os
 import random
+import shutil
 import stat
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,16 @@ def S(name):
     return StateId.parse(name)
 
 
+def as_pairs(doc):
+    """`doc` with every relation written as a list of [s, t] pairs, the
+    older form of a relation."""
+    return {**doc, "relations": {a: [[s, t] for s, targets in rel.items() for t in targets]
+                                 for a, rel in doc["relations"].items()}}
+
+
+FIXTURES = ("figure2", "figure2_minus_g", "cube3", "gruffalo")
+
+
 class TestDocuments:
     def test_figure2_fixture_matches_construction(self):
         assert load_model(fixture_path("figure2")) == figure2()
@@ -27,14 +40,66 @@ class TestDocuments:
         assert loaded.relations["f"] == {(S("1"), S("3")), (S("2"), S("3")), (S("3"), S("3"))}
 
     def test_all_fixtures_load(self):
-        for name in ("figure2", "figure2_minus_g", "cube3", "gruffalo"):
+        for name in FIXTURES:
             load_model(fixture_path(name))
 
     def test_undeclared_state_in_edge(self):
         doc = json.load(open(fixture_path("figure2")))
-        doc["relations"]["g"].append(["4", "4"])
+        pairs = as_pairs(doc)
+        doc["relations"]["g"]["4"] = ["4"]
         with pytest.raises(DocumentError, match="4"):
             doc_to_model(doc)
+        pairs["relations"]["g"].append(["4", "4"])
+        with pytest.raises(DocumentError, match="4"):
+            doc_to_model(pairs)
+
+    def test_fixtures_read_as_pair_lists(self):
+        for name in FIXTURES:
+            doc = json.load(open(fixture_path(name)))
+            assert all(isinstance(rel, dict) for rel in doc["relations"].values())
+            assert doc_to_model(as_pairs(doc)) == load_model(fixture_path(name))
+
+    @pytest.mark.parametrize("relation, fault", [
+        ({"1": "12"}, "relations.a.1 must be a list"),
+        ({"1": ["1", 2]}, "relations.a.1 must be a list"),
+        ({"1": {"2": []}}, "relations.a.1 must be a list"),
+        ({"3": ["1"]}, "relations.a uses undeclared state 3"),
+        ({"1": ["2", "3"]}, "relations.a uses undeclared state 3"),
+    ], ids=["string", "non-string", "object", "undeclared-source", "undeclared-target"])
+    def test_bad_adjacency_maps_are_rejected(self, tmp_path, relation, fault):
+        doc = {"states": ["1", "2"], "agents": ["a"], "props": [], "relations": {"a": relation},
+               "valuation": {}, "locals": {"a": ["1"]}}
+        with pytest.raises(DocumentError, match=fault):
+            doc_to_model(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run_cli(str(p), "show")
+        assert code == 2 and err.startswith("epk: error:") and "relations.a" in err
+
+    def test_empty_target_list_is_read_and_not_written(self):
+        doc = {"states": ["1", "2"], "agents": ["a"], "props": [],
+               "relations": {"a": {"1": [], "2": ["1"]}}, "valuation": {}, "locals": {"a": ["1"]}}
+        m = doc_to_model(doc)
+        assert set(m.relations["a"]) == {(S("2"), S("1"))}
+        assert model_to_doc(m)["relations"] == {"a": {"2": ["1"]}}
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"states": ["1"], "agents": ["a"], "props": [], "relations": {"a": [["1", "2"]]},'
+         ' "valuation": {}, "locals": {"a": ["1"]}, "states": ["1", "2"]}', "states"),
+        ('{"states": ["1", "2"], "agents": ["a"], "props": [],'
+         ' "relations": {"a": [["1", "2"]], "a": []}, "valuation": {}, "locals": {"a": ["1"]}}',
+         "a"),
+        ('{"states": ["1", "2"], "agents": ["a"], "props": [],'
+         ' "relations": {"a": {"1": ["2"], "2": ["1"], "1": []}}, "valuation": {},'
+         ' "locals": {"a": ["1"]}}', "1"),
+    ], ids=["top-level", "agent", "source"])
+    def test_duplicate_keys_are_rejected(self, tmp_path, text, key):
+        p = tmp_path / "dup.json"
+        p.write_text(text)
+        with pytest.raises(DocumentError, match=f'duplicate key "{key}"'):
+            load_model(str(p))
+        code, out, err = run_cli(str(p), "show")
+        assert (code, out) == (2, "") and err.startswith("epk: error:")
 
     def test_missing_key(self):
         with pytest.raises(DocumentError, match="locals"):
@@ -109,7 +174,7 @@ class TestDocuments:
         assert p.read_bytes() == first
 
     def test_fixture_files_are_canonical(self):
-        for name in ("figure2", "figure2_minus_g", "cube3", "gruffalo"):
+        for name in FIXTURES:
             path = fixture_path(name)
             on_disk = open(path, "rb").read()
             assert dumps_model(load_model(path)).encode() == on_disk
@@ -297,6 +362,24 @@ class TestCli:
         code, out, _ = run_cli(out_path, "check", "--agent", "f", "C[f,g]",
                                "--expect", "true")
         assert code == 0 and out.strip() == "true"
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        shutil.copyfile(fixture_path("figure2_minus_g"), tmp_path / "m.json")
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def epk(*argv):
+            return subprocess.run([sys.executable, "-m", "epk", *argv], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        done = epk("m.json", "update", "lie-online", "--liar", "m", "--new", "g",
+                   "--locals", "3", "-o", "out.json")
+        assert (done.returncode, done.stderr) == (0, "") and "1 discarded" in done.stdout
+        done = epk("out.json", "check", "--agent", "f", "C[f,g]", "--expect", "true")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "true\n", "")
+        relations = json.loads((tmp_path / "out.json").read_text())["relations"]
+        assert relations and all(isinstance(rel, dict) for rel in relations.values())
 
     def test_update_does_not_touch_input_without_in_place(self, tmp_path):
         src = tmp_path / "m.json"
