@@ -17,13 +17,17 @@ Grammar (ASCII):
 `B`, `C`, `P` act as keywords only when immediately followed by "[";
 otherwise they are ordinary proposition names.  Runs of `~` and `B[i]`
 may be of any length; parentheses nest at most `MAX_PAREN_DEPTH` deep.
+
+`parse` reads the text into tokens with one regex scan, checks that it
+read every non-space character, and descends the grammar by index over
+the token list; a token's position is found only for a `ParseError`.
+Nodes are immutable slotted objects, each built by a plain `__init__`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import FrozenSet, Tuple, Union
+from typing import FrozenSet, List, Tuple, Union
 
 
 class ParseError(ValueError):
@@ -33,20 +37,22 @@ class ParseError(ValueError):
 
 
 class _Node:
-    """What every formula node shares: equality, hashing and printing that
-    walk the formula with an explicit stack, so any nesting depth works.
+    """What every formula node shares: fields that cannot be assigned, and
+    equality, hashing and printing that walk the formula with an explicit
+    stack, so any nesting depth works.
 
-    The hash is computed once, when the node is built, from its class and
-    fields; a child contributes its own stored hash.  String hashes are
-    salted per process, so pickling and copying rebuild a node through
-    `__init__` instead of carrying the stored value over.
+    `__init__` stores the fields and the hash of the class and fields, in
+    which a child is its stored hash.  String hashes are salted per
+    process, so pickling and copying rebuild a node through `__init__`.
     """
 
-    __match_args__: Tuple[str, ...]
+    __slots__ = ("_hash",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((type(self), *map(self.__getattribute__,
-                                                               self.__match_args__))))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -90,50 +96,70 @@ class _Node:
         return (type(self), tuple(map(self.__getattribute__, self.__match_args__)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+_set = object.__setattr__  # past _Node.__setattr__, for __init__ only
+
+
 class Prop(_Node):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+        _set(self, "_hash", hash((Prop, name)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Node):
-    sub: "Formula"
+    __slots__ = __match_args__ = ("sub",)
+
+    def __init__(self, sub: "Formula"):
+        _set(self, "sub", sub)
+        _set(self, "_hash", hash((Not, sub)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class And(_Node):
-    left: "Formula"
-    right: "Formula"
+class _Binary(_Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "_hash", hash((type(self), left, right)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(_Node):
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Implies(_Node):
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+class Implies(_Binary):
+    __slots__ = ()
+
+
 class Believes(_Node):
-    agent: str
-    sub: "Formula"
+    __slots__ = __match_args__ = ("agent", "sub")
+
+    def __init__(self, agent: str, sub: "Formula"):
+        _set(self, "agent", agent)
+        _set(self, "sub", sub)
+        _set(self, "_hash", hash((Believes, agent, sub)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CertainAgent(_Node):
-    agent: str
-    about: str
+class _Agency(_Node):
+    __slots__ = __match_args__ = ("agent", "about")
+
+    def __init__(self, agent: str, about: str):
+        _set(self, "agent", agent)
+        _set(self, "about", about)
+        _set(self, "_hash", hash((type(self), agent, about)))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class PossibleAgent(_Node):
-    agent: str
-    about: str
+class CertainAgent(_Agency):
+    __slots__ = ()
+
+
+class PossibleAgent(_Agency):
+    __slots__ = ()
 
 
 Formula = Union[Prop, Not, And, Or, Implies, Believes, CertainAgent, PossibleAgent]
@@ -142,127 +168,105 @@ Formula = Union[Prop, Not, And, Or, Implies, Believes, CertainAgent, PossibleAge
 MAX_PAREN_DEPTH = 100
 
 _TOKEN_RE = re.compile(r"\s*(->|[~&|()\[\],]|[A-Za-z_][A-Za-z0-9_]*)")
+_NOT_NAMES = frozenset(["", "->", "~", "&", "|", "(", ")", "[", "]", ","])
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or not m.group(1):
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_pos]!r}", bad_pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    tokens.append(("", len(text)))  # end marker
-    return tokens
+class _Fault(Exception):
+    """A syntax error at token `args[1]`; `parse` works out its position."""
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.depth = 0  # parentheses currently open
+def _expected(what: str, toks: List[str], i: int) -> _Fault:
+    return _Fault(f"expected {what}, found {toks[i] or 'end of input'!r}", i)
 
-    def peek(self) -> str:
-        return self.tokens[self.i][0]
 
-    def pos(self) -> int:
-        return self.tokens[self.i][1]
+def _implication(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
+    f, i = _disjunction(toks, i, depth)
+    parts = [f]
+    while toks[i] == "->":
+        f, i = _disjunction(toks, i + 1, depth)
+        parts.append(f)
+    for g in reversed(parts[:-1]):  # "->" associates to the right
+        f = Implies(g, f)
+    return f, i
 
-    def advance(self) -> str:
-        tok = self.tokens[self.i][0]
-        self.i += 1
-        return tok
 
-    def expect(self, tok: str) -> None:
-        if self.peek() != tok:
-            got = self.peek() or "end of input"
-            raise ParseError(f"expected {tok!r}, found {got!r}", self.pos())
-        self.advance()
+def _disjunction(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
+    f, i = _conjunction(toks, i, depth)
+    while toks[i] == "|":
+        g, i = _conjunction(toks, i + 1, depth)
+        f = Or(f, g)
+    return f, i
 
-    def ident(self) -> str:
-        tok = self.peek()
-        if not tok or not (tok[0].isalpha() or tok[0] == "_"):
-            got = tok or "end of input"
-            raise ParseError(f"expected a name, found {got!r}", self.pos())
-        return self.advance()
 
-    def formula(self) -> Formula:
-        parts = [self.disjunction()]
-        while self.peek() == "->":
-            self.advance()
-            parts.append(self.disjunction())
-        f = parts.pop()
-        while parts:  # "->" associates to the right
-            f = Implies(parts.pop(), f)
-        return f
+def _conjunction(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
+    f, i = _unary(toks, i, depth)
+    while toks[i] == "&":
+        g, i = _unary(toks, i + 1, depth)
+        f = And(f, g)
+    return f, i
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() == "|":
-            self.advance()
-            f = Or(f, self.conjunction())
-        return f
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while self.peek() == "&":
-            self.advance()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        # Runs of prefix operators are read in a loop, so they may be of
-        # any length; only parentheses recurse, and their depth is capped.
-        prefixes = []
-        while True:
-            if self.peek() == "~":
-                self.advance()
-                prefixes.append(None)
-            elif self.peek() == "B" and self.tokens[self.i + 1][0] == "[":
-                self.advance()
-                self.expect("[")
-                prefixes.append(self.ident())
-                self.expect("]")
-            else:
-                break
-        f = self.atom()
-        for agent in reversed(prefixes):
-            f = Not(f) if agent is None else Believes(agent, f)
-        return f
-
-    def atom(self) -> Formula:
-        tok = self.peek()
-        if tok == "(":
-            if self.depth == MAX_PAREN_DEPTH:
-                raise ParseError(f"parentheses nested more than {MAX_PAREN_DEPTH} deep", self.pos())
-            self.advance()
-            self.depth += 1
-            f = self.formula()
-            self.expect(")")
-            self.depth -= 1
-            return f
-        if tok in ("C", "P") and self.tokens[self.i + 1][0] == "[":
-            self.advance()
-            self.expect("[")
-            first = self.ident()
-            self.expect(",")
-            second = self.ident()
-            self.expect("]")
-            return CertainAgent(first, second) if tok == "C" else PossibleAgent(first, second)
-        return Prop(self.ident())
+def _unary(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
+    # Runs of prefix operators are read in a loop, so they may be of any
+    # length; only parentheses recurse, and their depth is capped.  Only a
+    # token read as what it should be is looked past, and it is never the
+    # end marker, so every index read lies within the list.
+    prefixes = []
+    tok = toks[i]
+    while tok == "~" or tok == "B" and toks[i + 1] == "[":
+        if tok == "~":
+            prefixes.append(None)
+            i += 1
+        elif toks[i + 2] in _NOT_NAMES:
+            raise _expected("a name", toks, i + 2)
+        elif toks[i + 3] != "]":
+            raise _expected("']'", toks, i + 3)
+        else:
+            prefixes.append(toks[i + 2])
+            i += 4
+        tok = toks[i]
+    if tok == "(":
+        if depth == MAX_PAREN_DEPTH:
+            raise _Fault(f"parentheses nested more than {MAX_PAREN_DEPTH} deep", i)
+        f, i = _implication(toks, i + 1, depth + 1)
+        if toks[i] != ")":
+            raise _expected("')'", toks, i)
+        i += 1
+    elif (tok == "C" or tok == "P") and toks[i + 1] == "[":
+        for k, want in ((i + 2, None), (i + 3, ","), (i + 4, None), (i + 5, "]")):  # None: a name
+            if (toks[k] in _NOT_NAMES) if want is None else (toks[k] != want):
+                raise _expected("a name" if want is None else repr(want), toks, k)
+        f = (CertainAgent if tok == "C" else PossibleAgent)(toks[i + 2], toks[i + 4])
+        i += 6
+    elif tok in _NOT_NAMES:
+        raise _expected("a name", toks, i)
+    else:
+        f = Prop(tok)
+        i += 1
+    for agent in reversed(prefixes):
+        f = Not(f) if agent is None else Believes(agent, f)
+    return f, i
 
 
 def parse(text: str) -> Formula:
-    p = _Parser(text)
-    f = p.formula()
-    if p.peek():
-        raise ParseError(f"unexpected trailing {p.peek()!r}", p.pos())
+    """The formula `text` spells, or a `ParseError` at its first fault."""
+    toks = _TOKEN_RE.findall(text)
+    # The scan skips what no token matches: every non-space character
+    # must have been read into some token.
+    if "".join(toks) != "".join(text.split()):
+        pos = 0
+        while m := _TOKEN_RE.match(text, pos):
+            pos = m.end()
+        pos = len(text) - len(text[pos:].lstrip())
+        raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    toks.append("")  # end marker
+    try:
+        f, i = _implication(toks, 0, 0)
+        if toks[i]:
+            raise _Fault(f"unexpected trailing {toks[i]!r}", i)
+    except _Fault as e:  # (message, index of the token at fault)
+        starts = [m.start(1) for m in _TOKEN_RE.finditer(text)] + [len(text)]
+        raise ParseError(e.args[0], starts[e.args[1]]) from None
     return f
 
 
@@ -279,10 +283,8 @@ _BINARY = {
 
 
 def unparse(f: Formula) -> str:
-    """Canonical text with minimal parentheses; parse(unparse(f)) == f.
-
-    Walks the formula with an explicit stack, so any nesting depth prints.
-    """
+    """Canonical text with minimal parentheses, so that parse(unparse(f))
+    == f, written with an explicit stack, so any nesting depth prints."""
     out = []
     stack = [(f, 0)]  # (formula, level of its context), or (text, None)
     while stack:
@@ -291,15 +293,10 @@ def unparse(f: Formula) -> str:
             out.append(g)
         elif isinstance(g, Prop):
             out.append(g.name)
-        elif isinstance(g, CertainAgent):
-            out.append(f"C[{g.agent},{g.about}]")
-        elif isinstance(g, PossibleAgent):
-            out.append(f"P[{g.agent},{g.about}]")
-        elif isinstance(g, Not):
-            out.append("~")
-            stack.append((g.sub, _UNARY))
-        elif isinstance(g, Believes):
-            out.append(f"B[{g.agent}] ")
+        elif isinstance(g, _Agency):
+            out.append(f"{'C' if type(g) is CertainAgent else 'P'}[{g.agent},{g.about}]")
+        elif isinstance(g, (Not, Believes)):
+            out.append("~" if type(g) is Not else f"B[{g.agent}] ")
             stack.append((g.sub, _UNARY))
         elif type(g) in _BINARY:
             level, symbol, left, right = _BINARY[type(g)]
@@ -322,14 +319,13 @@ def formula_symbols(f: Formula) -> Tuple[FrozenSet[str], FrozenSet[str]]:
             props.add(g.name)
         elif isinstance(g, Not):
             stack.append(g.sub)
-        elif isinstance(g, (And, Or, Implies)):
+        elif isinstance(g, _Binary):
             stack += [g.right, g.left]
         elif isinstance(g, Believes):
             agents.add(g.agent)
             stack.append(g.sub)
-        elif isinstance(g, (CertainAgent, PossibleAgent)):
-            agents.add(g.agent)
-            agents.add(g.about)
+        elif isinstance(g, _Agency):
+            agents.update((g.agent, g.about))
         else:
             raise TypeError(f"not a formula: {g!r}")
     return frozenset(agents), frozenset(props)

@@ -20,7 +20,7 @@ absent everywhere, so formulas about departed agents remain evaluable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .formulas import (And, Believes, CertainAgent, Formula, Implies, Not, Or,
                        PossibleAgent, Prop)
@@ -59,45 +59,28 @@ def _diamond(rows: List[int], mask: int, need: Optional[int]) -> int:
     return sum(1 << k for k in positions(need) if rows[k] & mask)
 
 
-def _children(f: Formula) -> Tuple[Formula, ...]:
-    if isinstance(f, (Not, Believes)):
-        return (f.sub,)
-    if isinstance(f, (And, Or, Implies)):
-        return (f.left, f.right)
-    if isinstance(f, (Prop, CertainAgent, PossibleAgent)):
-        return ()
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _check_node(model: KripkeModel, f: Formula) -> None:
-    # The right index of C/P is deliberately exempt: see module docstring.
-    if isinstance(f, Prop):
-        if f.name not in model.props:
-            raise ModelError(f"unknown proposition: {f.name}")
-    elif isinstance(f, (Believes, CertainAgent, PossibleAgent)):
-        model.require_agent(f.agent)
+_BINARY = frozenset((And, Or, Implies))
+_LISTED = object()  # on sat's stack, above a node whose children are listed
 
 
 def sat(model: KripkeModel, f: Formula, within: Optional[int] = None) -> int:
     """The states of `within` where `f` holds, as a bitmask over
-    `model.index`; `within` is a mask over the same numbering and defaults
-    to every state.  A `within` with bits outside the model raises
-    `ModelError`.
+    `model.index`; `within` is a mask over the same numbering, every state
+    by default, and one with bits outside the model raises `ModelError`.
 
-    Three passes over the formula's subterm DAG, none recursive, so nesting
-    depth is bounded only by memory.  Nodes are keyed by identity: hashing
-    a deeply nested formula would itself recurse.
+    Three passes over the formula's subterm DAG, none recursive, each
+    dispatching once per node on its exact class.  Nodes are keyed by
+    identity: hashing a deeply nested formula would itself recurse.
 
-    1. A post-order walk with an explicit stack checks every node, so
-       unknown propositions and agents raise `ModelError`, the leftmost one
-       first, even where no needed state reaches them.
+    1. An explicit stack checks each node where it first meets it, so the
+       leftmost unknown proposition or agent raises `ModelError`, even
+       where no needed state reaches it, and lists the nodes children first.
     2. Parents before children, each node gets its need: the states where
-       its truth is asked.  The root needs `within`; a node under several
-       parents needs the union of what they ask.  `B[i] g` asks `g` at the
-       i-successors of its own need, and a connective asks its operands at
-       its own need.
-    3. Children before parents, each node is labelled on its need only.
-       A box or diamond whose need holds more than `DENSE_SHARE` of the
+       its truth is asked, the union of what its parents ask.  The root
+       needs `within`; `B[i] g` asks `g` at the i-successors of its own
+       need, and a connective asks its operands at its own need.
+    3. Children before parents, each node is labelled on its need only.  A
+       box or diamond whose need holds more than `DENSE_SHARE` of the
        states tests every row at once (and asks its operand everywhere);
        a smaller need tests only its own states' rows.
 
@@ -110,58 +93,78 @@ def sat(model: KripkeModel, f: Formula, within: Optional[int] = None) -> int:
         within = full
     elif not isinstance(within, int) or not 0 <= within <= full:
         raise ModelError(f"not a mask of the model's {len(idx.order)} states: {within!r}")
-    post: List[Formula] = []
-    seen = set()
-    stack = [(f, False)]
+    # The right index of C/P is deliberately exempt: see module docstring.
+    post, seen = [], set()
+    stack: list = [f]  # nodes to check; a node under _LISTED has its children listed
     while stack:
-        g, ready = stack.pop()
-        if id(g) in seen:
+        g = stack.pop()
+        t = type(g)
+        if g is _LISTED:
+            g = stack.pop()
+        elif id(g) in seen:
             continue
-        if not ready:
-            _check_node(model, g)
-            stack.append((g, True))
-            stack.extend((c, False) for c in reversed(_children(g)))
+        elif t is Prop:
+            if g.name not in model.props:
+                raise ModelError(f"unknown proposition: {g.name}")
+        elif t in _BINARY:
+            stack += (g, _LISTED, g.right, g.left)
             continue
+        elif t is Not or t is Believes or t is CertainAgent or t is PossibleAgent:
+            if t is not Not and g.agent not in model.agents:
+                raise ModelError(f"unknown agent: {g.agent}")
+            if t is Not or t is Believes:
+                stack += (g, _LISTED, g.sub)
+                continue
+        else:
+            raise TypeError(f"not a formula: {g!r}")
         seen.add(id(g))
         post.append(g)
 
     dense = len(idx.order) * DENSE_SHARE
     need = {id(f): within}
     for g in reversed(post):
-        n = need[id(g)]
-        if isinstance(g, Believes):
-            n = full if n.bit_count() > dense else idx.image(n, (g.agent,))
-        for c in _children(g):
-            need[id(c)] = need.get(id(c), 0) | n
+        t = type(g)
+        if t in _BINARY:
+            n = need[id(g)]
+            need[id(g.left)] = need.get(id(g.left), 0) | n
+            need[id(g.right)] = need.get(id(g.right), 0) | n
+        elif t is Believes or t is Not:
+            n = need[id(g)]
+            if t is Believes:
+                n = full if n.bit_count() > dense else idx.image(n, (g.agent,))
+            need[id(g.sub)] = need.get(id(g.sub), 0) | n
 
     done: Dict[int, int] = {}
     for g in post:
         n = need[id(g)]
-        at = None if n.bit_count() > dense else n
-        if isinstance(g, Prop):
+        t = type(g)
+        if t is Prop:
             m = idx.valuation[g.name]
-        elif isinstance(g, Not):
+        elif t is Not:
             m = full ^ done[id(g.sub)]
-        elif isinstance(g, And):
+        elif t is And:
             m = done[id(g.left)] & done[id(g.right)]
-        elif isinstance(g, Or):
+        elif t is Or:
             m = done[id(g.left)] | done[id(g.right)]
-        elif isinstance(g, Implies):
+        elif t is Implies:
             m = (full ^ done[id(g.left)]) | done[id(g.right)]
-        elif isinstance(g, Believes):
-            m = _box(idx.rows[g.agent], done[id(g.sub)], full, at)
-        elif isinstance(g, CertainAgent):
-            m = _box(idx.rows[g.agent], idx.present.get(g.about, 0), full, at)
         else:
-            m = _diamond(idx.rows[g.agent], idx.present.get(g.about, 0), at)
+            at = None if n.bit_count() > dense else n
+            if t is Believes:
+                m = _box(idx.rows[g.agent], done[id(g.sub)], full, at)
+            elif t is CertainAgent:
+                m = _box(idx.rows[g.agent], idx.present.get(g.about, 0), full, at)
+            else:
+                m = _diamond(idx.rows[g.agent], idx.present.get(g.about, 0), at)
         done[id(g)] = m & n
     return done[id(f)]
 
 
 def holds_at(model: KripkeModel, state: StateId, f: Formula) -> bool:
     """Truth of `f` at the pointed model (model, state)."""
-    model.require_state(state)
-    return bool(sat(model, f, 1 << model.index.bit[state]))
+    if (k := model.index.bit.get(state)) is None:
+        raise ModelError(f"unknown state: {state}")
+    return bool(sat(model, f, 1 << k))
 
 
 def holds_for_agent(model: KripkeModel, agent: Agent, f: Formula) -> bool:

@@ -82,22 +82,35 @@ def _string_lists(value, where: str) -> dict:
 _source, _target = itemgetter(0), itemgetter(1)
 
 
-def _rows(a: str, relation, bit: Dict[str, int], one: Dict[str, int]) -> List[int]:
+def _rows(a: str, relation, bit: Dict[str, int], one: Dict[str, int],
+          made: Dict[tuple, int]) -> List[int]:
     """Agent a's successor rows from its relation, an adjacency map
     {s: [t, ...]} or a list of [s, t] name pairs, where `bit` numbers the
-    names and `one` holds each name's one-bit mask."""
+    names and `one` holds each name's one-bit mask.  `made` keeps the row
+    of each target list already read, keyed by its contents: rows repeat
+    (every row of a universal block is the same list), and each distinct
+    one is made, and held, once."""
     row = [0] * len(bit)
+
+    def targets_row(targets) -> int:
+        # The targets are ORed in C.  One that is not a declared name
+        # fails its lookup.
+        key = tuple(targets)
+        mask = made.get(key)
+        if mask is None:
+            mask = made[key] = reduce(or_, map(one.__getitem__, key), 0)
+        return mask
+
     try:
-        # Each source's targets are ORed into its row in C.  An element
-        # that is not a declared name fails its lookup.
         if type(relation) is dict:
             if set(map(type, relation.values())) <= {list}:
                 for s, targets in relation.items():
-                    row[bit[s]] = reduce(or_, map(one.__getitem__, targets), 0)
+                    row[bit[s]] = targets_row(targets)
                 return row
         elif set(map(type, relation)) <= {list} and set(map(len, relation)) <= {2}:
             for s, group in groupby(relation, _source):
-                row[bit[s]] |= reduce(or_, map(one.__getitem__, map(_target, group)))
+                k, mask = bit[s], targets_row(map(_target, group))
+                row[k] = row[k] | mask if row[k] else mask  # a source may have several runs
             return row
     except (TypeError, KeyError):
         pass
@@ -153,7 +166,8 @@ def doc_to_model(doc: dict) -> KripkeModel:
         bit = dict(zip(names, range(len(names))))
         one = {name: 1 << k for name, k in bit.items()}
         check_symbols(agents, props, relations, valuation, locals_)
-        rows = {a: _rows(a, relation, bit, one) for a, relation in relations.items()}
+        made: Dict[tuple, int] = {}
+        rows = {a: _rows(a, relation, bit, one, made) for a, relation in relations.items()}
         vmasks = {p: mask_of(sts, bit, f"valuation of {p} names undeclared state {{}}")
                   for p, sts in valuation.items()}
         lmasks = {a: mask_of(sts, bit, f"local state {{}} of agent {a} is undeclared")
@@ -293,20 +307,26 @@ def save_model(model: KripkeModel, path: str) -> None:
     _write_atomically(path, dumps_model(model))
 
 
+def _dot_escape(text: str) -> str:
+    """`text` for the inside of a quoted DOT string: its backslashes and
+    double quotes escaped, so that no name can end the string early."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _dot_node(model: KripkeModel, s: StateId) -> str:
     true_props = sorted(p for p in model.props if s in model.valuation[p])
     owners = sorted(a for a in model.agents if s in model.locals[a])
-    label = s.name
+    label = [s.name]  # lines of the label, joined by DOT's "\n"
     if true_props:
-        label += "\\n" + ",".join(true_props)
+        label.append(",".join(true_props))
     if owners:
-        label += "\\nI(" + ",".join(owners) + ")"
-    attrs = [f'label="{label}"']
+        label.append("I(" + ",".join(owners) + ")")
+    attrs = ['label="' + "\\n".join(map(_dot_escape, label)) + '"']
     if owners:
         attrs.append("peripheries=2")
         attrs.append("style=filled")
         attrs.append('fillcolor="lightgrey"')
-    return f'  "{s.name}" [{", ".join(attrs)}];'
+    return f'  "{_dot_escape(s.name)}" [{", ".join(attrs)}];'
 
 
 def dumps_dot(model: KripkeModel) -> str:
@@ -321,7 +341,7 @@ def dumps_dot(model: KripkeModel) -> str:
         for tag in sorted(by_tag):
             name = tag or "orig"
             lines.append(f"  subgraph cluster_{name} {{")
-            lines.append(f'    label="{name}";')
+            lines.append(f'    label="{_dot_escape(name)}";')
             for s in by_tag[tag]:
                 lines.append("  " + _dot_node(model, s))
             lines.append("  }")
@@ -331,7 +351,8 @@ def dumps_dot(model: KripkeModel) -> str:
 
     for a in sorted(model.agents):
         for (s, t) in model.relations[a]:  # in sorted order
-            lines.append(f'  "{s.name}" -> "{t.name}" [label="{a}"];')
+            lines.append(f'  "{_dot_escape(s.name)}" -> "{_dot_escape(t.name)}"'
+                         f' [label="{_dot_escape(a)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -75,6 +75,37 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("")
 
+    @pytest.mark.parametrize("text, message, pos", [
+        ("B[a p", "expected ']', found 'p'", 4),
+        ("P[a,]", "expected a name, found ']'", 4),
+        ("B[1] p", "unexpected character '1'", 2),
+        ("(p", "expected ')', found 'end of input'", 2),
+        ("p q", "unexpected trailing 'q'", 2),
+        ("->p", "expected a name, found '->'", 0),
+        ("\u00e9", "unexpected character '\u00e9'", 0),
+        ("C[a b]", "expected ',', found 'b'", 4),
+        ("p q $", "unexpected character '$'", 4),
+        ("\tp &\t", "expected a name, found 'end of input'", 5),
+    ])
+    def test_error_message_and_position(self, text, message, pos):
+        with pytest.raises(ParseError) as e:
+            parse(text)
+        assert str(e.value) == f"{message} (at position {pos})"
+        assert e.value.pos == pos
+
+    @given(st.one_of(
+        st.text(alphabet="~&|->()[], \tBCPpqa_1$\u00e9"),
+        st.lists(st.sampled_from(["~", "&", "|", "->", "(", ")", "B[a]", "C[a,b]", "P[b,a]",
+                                  "p", "q", " ", "[", "]", ",", "1", "$"])).map("".join)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_text_parses_or_fails_within_it(self, text):
+        try:
+            f = parse(text)
+        except ParseError as e:
+            assert 0 <= e.pos <= len(text)
+        else:
+            assert parse(unparse(f)) == f
+
 
 class TestUnparse:
     def test_negated_possible_agent(self):
@@ -172,6 +203,48 @@ class TestDeepFormulas:
         assert parse("C[a,b]") != parse("P[a,b]")
         assert parse("B[a] p") != parse("B[b] p")
         assert Prop("p") != "p"
+
+    @pytest.mark.parametrize("positional, keywords", [
+        (Prop("p"), Prop(name="p")),
+        (Not(Prop("p")), Not(sub=Prop("p"))),
+        (And(Prop("p"), Prop("q")), And(left=Prop("p"), right=Prop("q"))),
+        (Or(Prop("p"), Prop("q")), Or(right=Prop("q"), left=Prop("p"))),
+        (Implies(Prop("p"), Prop("q")), Implies(Prop("p"), right=Prop("q"))),
+        (Believes("a", Prop("p")), Believes(agent="a", sub=Prop("p"))),
+        (CertainAgent("a", "b"), CertainAgent(agent="a", about="b")),
+        (PossibleAgent("a", "b"), PossibleAgent(about="b", agent="a")),
+    ], ids=lambda f: type(f).__name__)
+    def test_keywords_build_what_positions_build(self, positional, keywords):
+        assert keywords == positional and hash(keywords) == hash(positional)
+        assert repr(keywords) == repr(positional)
+
+    def test_fields_cannot_be_changed(self):
+        f = parse("B[a] (p & C[a,b])")
+        for node, name in ((f, "agent"), (f, "sub"), (f.sub, "left"), (f.sub.left, "name"),
+                           (f.sub.right, "about"), (f, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(node, name, Prop("q"))
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert f == parse("B[a] (p & C[a,b])")
+
+    def test_match_destructures_by_position(self):
+        def shape(f):
+            match f:
+                case Prop(name):
+                    return name
+                case Not(sub):
+                    return f"~{shape(sub)}"
+                case And(left, right) | Or(left, right) | Implies(left, right):
+                    return f"{type(f).__name__}({shape(left)}, {shape(right)})"
+                case Believes(agent, sub):
+                    return f"B{agent}.{shape(sub)}"
+                case CertainAgent(agent, about):
+                    return f"C{agent}{about}"
+                case PossibleAgent(agent, about):
+                    return f"P{agent}{about}"
+        assert shape(parse("B[a] ~(p -> q) | C[a,b] & P[b,a]")) == (
+            "Or(Ba.~Implies(p, q), And(Cab, Pba))")
 
     @pytest.mark.parametrize("clone", [
         lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy,

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import stat
 import subprocess
@@ -300,6 +301,28 @@ class TestDot:
 
     def test_deterministic(self):
         assert dumps_dot(figure2()) == dumps_dot(figure2())
+
+    def test_quotes_and_backslashes_in_names_are_escaped(self, tmp_path):
+        names = ['a"b', "c\\", '\\"', "d"]
+        doc = {"states": sorted(names), "agents": ["i"], "props": ["p"],
+               "relations": {"i": {'a"b': ["c\\"], "c\\": ['\\"', "d"]}},
+               "valuation": {"p": ['a"b']}, "locals": {"i": ["c\\"]}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        dot = dumps_dot(load_model(str(path)))
+        string = r'"(?:[^"\\]|\\.)*"'  # a well-formed quoted DOT string
+        node = re.compile(rf'\s*({string}) \[label=({string})(?:, \w+=(?:{string}|\w+))*\];')
+        edge = re.compile(rf'\s*({string}) -> ({string}) \[label={string}\];')
+        ids = set()
+        for line in dot.splitlines():
+            if m := edge.fullmatch(line):
+                ids.update(m.groups())
+            elif m := node.fullmatch(line):
+                ids.add(m[1])
+                assert m[2] == m[1] or m[2].startswith(m[1][:-1] + "\\n")  # name, then props
+            else:
+                assert '"' not in line, line
+        assert {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in ids} == set(names)
 
 
 def run_cli(*argv):
