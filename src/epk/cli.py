@@ -125,7 +125,7 @@ def _cmd_update(model: KripkeModel, args, out) -> int:
     )
     result = apply_update(model, spec)
     print(f"update {args.kind} ({args.target}): "
-          f"{len(model.states)} -> {len(result.model.states)} states, "
+          f"{len(model.index.order)} -> {len(result.model.index.order)} states, "
           f"{len(result.discarded_states)} discarded", file=out)
     if result.discarded_states:
         print("  discarded: " + ", ".join(sorted(s.name for s in result.discarded_states)),
@@ -142,8 +142,8 @@ def _cmd_update(model: KripkeModel, args, out) -> int:
 
 
 def _cmd_show(model: KripkeModel, out) -> int:
-    print(f"states ({len(model.states)}): "
-          + ", ".join(sorted(s.name for s in model.states)), file=out)
+    print(f"states ({len(model.index.order)}): "
+          + ", ".join(sorted(s.name for s in model.index.order)), file=out)
     print(f"agents ({len(model.agents)}): " + ", ".join(sorted(model.agents)), file=out)
     print(f"props ({len(model.props)}): " + ", ".join(sorted(model.props)), file=out)
     for a in sorted(model.agents):

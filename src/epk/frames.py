@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from .model import (Agent, Edge, KripkeModel, ModelError, StateId, positions, rows_of,
+from .model import (Agent, Edge, KripkeModel, ModelError, StateId, positions, read_rows,
                     sort_states)
 
 PROPERTIES = ("reflexive", "symmetric", "serial", "transitive", "euclidean")
@@ -106,8 +106,10 @@ def check_properties(relation: Iterable[Edge], domain: Iterable[StateId],
     """
     domain = frozenset(domain)
     order = sort_states(domain)
-    bit = dict(zip(order, range(len(order))))
-    rows = rows_of(relation, bit, "relation endpoint {} outside domain")
+    try:
+        rows = read_rows(relation, {s: 1 << k for k, s in enumerate(order)}, len(order), {})
+    except KeyError as e:
+        raise ModelError(f"relation endpoint {e.args[0]} outside domain") from None
     return _report(agent, domain, _witnesses(order, rows, (1 << len(order)) - 1))
 
 

@@ -2,13 +2,15 @@
 (successor lookup, reachability closure, pruning, tagged replication) that
 the update operators are built from.
 
-A model numbers its states in sorted order and stores every agent's
-relation as successor rows, one bitmask per state over that numbering
-(its `ModelIndex`).  The rows are the only stored form of the relations:
-`model.relations[a]` is a lazy, read-only set of (s, t) edges over them,
-whose size is a popcount and whose membership test is a bit test, so no
-edge object exists unless a caller iterates the view.  Loading, updates,
-pruning, frame checks and saving all pass rows along.
+A model is its `ModelIndex`: its states numbered in sorted order, every
+agent's relation as successor rows (one bitmask per state over that
+numbering) and every set of states as a mask.  `KripkeModel(index)` is the
+one constructor.  `states`, `valuation`, `locals` and `relations` are views
+built from the index on first read; `model.relations[a]` is a read-only
+set of (s, t) edges over the rows, whose size is a popcount and whose
+membership test is a bit test.  `KripkeModel.build` is the one reader of
+state names and edges; loading, updates, pruning, frame checks and saving
+otherwise pass rows along.
 
 Models are immutable values: every operation returns a new model and never
 mutates its input.  They are compared by value and cannot be hashed.
@@ -16,13 +18,13 @@ mutates its input.  They are compared by value and cannot be hashed.
 
 from __future__ import annotations
 
-from collections.abc import Set
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress, count
-from operator import attrgetter
+from collections.abc import Mapping, Set
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from itertools import compress, count, groupby
+from operator import attrgetter, itemgetter, or_
 from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 Agent = str
 Prop = str
@@ -34,7 +36,7 @@ class ModelError(ValueError):
     """Raised when a model invariant is violated or an unknown entity is named."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class StateId:
     """A state name plus the sequence of replica tags that produced it.
 
@@ -49,6 +51,7 @@ class StateId:
 
     base: str
     lineage: Tuple[str, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.base or "@" in self.base:
@@ -94,15 +97,6 @@ def sort_states(states: Iterable[StateId]) -> Tuple[StateId, ...]:
     return tuple(sorted(states, key=state_key))
 
 
-class _StateIds(dict):
-    """State names (or `StateId`s) to one `StateId` object each, parsed on
-    first lookup; a lookup that hits costs no Python call."""
-
-    def __missing__(self, x) -> StateId:
-        sid = self[x] = x if isinstance(x, StateId) else StateId.parse(str(x))
-        return sid
-
-
 def _check_token(name: str, what: str) -> str:
     if not name or not all(c.isalnum() or c == "_" for c in name):
         raise ModelError(f"bad {what} name: {name!r}")
@@ -141,11 +135,15 @@ def positions(mask: int) -> Iterator[int]:
 
     Stepping from one bit to the next costs a few operations on the whole
     mask, so a mask with many bits set is read from its binary digits
-    instead: one pass in C, O(|mask|) in all.  The two cost the same at
-    about 128 bits set on masks of 10^3 to 10^5 bits, and at about one
-    bit in eight on shorter ones: a full mask of 128 bits is read from
-    its digits six times faster than by stepping."""
-    if mask.bit_count() > min(128, mask.bit_length() >> 3):
+    instead: one pass in C, O(|mask|) in all.  Reading the digits pays off
+    from about this many bits set, measured on random masks of each width
+    (median of three scans):
+
+        width       8  16  32  64  128  1024  4096  16384
+        bits set    7   7   7  11   14    96   224    384
+
+    so the digits are read past max(7, |mask|/8), at most 256 bits set."""
+    if mask.bit_count() > max(7, min(256, mask.bit_length() >> 3)):
         return compress(count(), bin(mask)[:1:-1].encode().translate(_DIGITS))
     return _step(mask)
 
@@ -299,79 +297,52 @@ class Edges(Set):
         return f"Edges({list(self)!r})"
 
 
-def rows_of(edges: Iterable[Edge], bit: Dict[StateId, int], message: str) -> List[int]:
-    """The successor rows of `edges` over the numbering `bit`; a ModelError
-    with `message`, formatted with the first endpoint `bit` lacks, when
-    there is one."""
-    rows = [0] * len(bit)
-    try:
-        for (s, t) in edges:
-            rows[bit[s]] |= 1 << bit[t]
-    except KeyError as e:
-        raise ModelError(message.format(e.args[0])) from None
-    return rows
+_source, _target = itemgetter(0), itemgetter(1)
 
 
-def mask_of(states: Iterable, bit: Dict, message: str) -> int:
-    """The bitmask of `states` (states or names) numbered by `bit`; a
-    ModelError with `message`, formatted with the first one `bit` lacks,
-    when there is one."""
-    m = 0
-    try:
-        for s in states:
-            m |= 1 << bit[s]
-    except KeyError as e:
-        raise ModelError(message.format(e.args[0])) from None
-    return m
+def read_rows(relation, one: Dict, n: int, made: Dict[tuple, int]) -> List[int]:
+    """The successor rows of `relation` over n numbered states: the
+    relation is a mapping {s: [t, ...]} or an iterable of (s, t) pairs, and
+    `one` holds the one-bit mask of each state's number.  A KeyError names
+    the first endpoint `one` lacks.
+
+    `made` keeps the row of each target list already read, keyed by its
+    contents: rows repeat (every row of a universal block is the same
+    list), and each distinct one is made, and held, once.  Consecutive
+    pairs with one source are read as one target list."""
+    row = [0] * n
+    if isinstance(relation, Mapping):
+        runs = relation.items()
+    else:
+        runs = ((s, map(_target, pairs)) for s, pairs in groupby(relation, _source))
+    for s, targets in runs:
+        k = one[s].bit_length() - 1
+        key = tuple(targets)
+        mask = made.get(key)
+        if mask is None:  # the targets are ORed in C
+            mask = made[key] = reduce(or_, map(one.__getitem__, key), 0)
+        row[k] = row[k] | mask if row[k] else mask  # a source may have several runs
+    return row
 
 
 class KripkeModel:
     """An immutable Kripke model: states, agents, propositions, per-agent
-    accessibility relations, a valuation, and per-agent local states.
+    accessibility relations, a valuation, and per-agent local states, all
+    held in `index`.
 
     `relations` maps each agent to a lazy `Edges` view of its successor
-    rows in `index`; `valuation` and `locals` map names to frozensets of
-    states.  Equality compares everything but `meta`, relations as sets of
-    edges.  Models hold dicts, so hashing is switched off.
+    rows; `valuation` and `locals` map names to frozensets of states.
+    These views, `states`, `agents` and `props` are built on first read.
+    Equality compares the index, not `meta`.  Models hold dicts, so
+    hashing is switched off.
     """
 
     __hash__ = None
 
-    states: FrozenSet[StateId]
-    agents: FrozenSet[Agent]
-    props: FrozenSet[Prop]
-    relations: Mapping[Agent, Edges]
-    valuation: Mapping[Prop, FrozenSet[StateId]]
-    locals: Mapping[Agent, FrozenSet[StateId]]
     meta: Mapping[str, str]
     index: ModelIndex
 
-    def __init__(self, states: Iterable[StateId], agents: Iterable[Agent], props: Iterable[Prop],
-                 relations: Mapping[Agent, Iterable[Edge]],
-                 valuation: Mapping[Prop, Iterable[StateId]],
-                 locals: Mapping[Agent, Iterable[StateId]],
-                 meta: Optional[Mapping[str, str]] = None):
-        """A validated model of edge iterables and sets of `StateId`s."""
-        states, agents, props = frozenset(states), frozenset(agents), frozenset(props)
-        check_symbols(agents, props, relations, valuation, locals)
-        order = sort_states(states)
-        bit = dict(zip(order, range(len(order))))
-        rows = {a: rows_of(edges, bit, f"relation for {a} uses undeclared state {{}}")
-                for a, edges in relations.items()}
-        valuation = {p: frozenset(sts) for p, sts in valuation.items()}
-        locals = {a: frozenset(sts) for a, sts in locals.items()}
-        vmasks = {p: mask_of(sts, bit, f"valuation of {p} names undeclared state {{}}")
-                  for p, sts in valuation.items()}
-        lmasks = {}
-        for a, sts in locals.items():
-            if not sts:
-                raise ModelError(f"local states of agent {a} must be non-empty")
-            lmasks[a] = mask_of(sts, bit, f"local state {{}} of agent {a} is undeclared")
-        self._fill(ModelIndex(order, rows, vmasks, lmasks, bit), states, valuation, locals, meta)
-
-    @classmethod
-    def from_index(cls, index: ModelIndex,
-                   meta: Optional[Mapping[str, str]] = None) -> "KripkeModel":
+    def __init__(self, index: ModelIndex, meta: Optional[Mapping[str, str]] = None):
         """The model whose states, relations, valuation and local states
         `index` holds; its agents are the keys of `index.rows` and its
         propositions those of `index.valuation`.  Only names and local
@@ -380,18 +351,70 @@ class KripkeModel:
         for a in index.rows:
             if not index.locals[a]:
                 raise ModelError(f"local states of agent {a} must be non-empty")
-        model = cls.__new__(cls)
-        model._fill(index, frozenset(index.order),
-                    {p: index.states_of(m) for p, m in index.valuation.items()},
-                    {a: index.states_of(m) for a, m in index.locals.items()}, meta)
-        return model
+        vars(self).update(index=index, meta=dict(meta or {}))
 
-    def _fill(self, index, states, valuation, locals, meta) -> None:
-        vars(self).update(
-            states=states, agents=frozenset(index.rows), props=frozenset(index.valuation),
-            relations=MappingProxyType({a: Edges(index.order, index.bit, row)
-                                        for a, row in index.rows.items()}),
-            valuation=valuation, locals=locals, meta=dict(meta or {}), index=index)
+    @classmethod
+    def build(cls, states, agents, props, relations, valuation, locals, meta=None):
+        """The validated model of plain values.  States and every mention
+        of one are names or `StateId`s; each relation is a mapping
+        {s: [t, ...]} or an iterable of (s, t) pairs.
+
+        Each state is parsed once and given its bit in the sorted
+        numbering, and each source's targets are ORed into its row: no
+        edge object is made."""
+        ids = {x: x if isinstance(x, StateId) else StateId.parse(x) for x in states}
+        check_symbols(agents, props, relations, valuation, locals)
+        order = sort_states(set(ids.values()))
+        bit = dict(zip(order, range(len(order))))
+        one = {}
+        for s, k in bit.items():
+            one[s] = one[s.name] = 1 << k
+        made: Dict[tuple, int] = {}
+
+        def each(named, read, message):
+            out = {}
+            for name, value in named.items():
+                try:
+                    out[name] = read(value)
+                except KeyError as e:
+                    raise ModelError(message.format(name, e.args[0])) from None
+            return out
+
+        def mask(names) -> int:
+            return reduce(or_, map(one.__getitem__, names), 0)
+
+        return cls(ModelIndex(
+            order,
+            each(relations, lambda rel: read_rows(rel, one, len(order), made),
+                 "relations.{} uses undeclared state {}"),
+            each(valuation, mask, "valuation of {} names undeclared state {}"),
+            each(locals, mask, "local state {1} of agent {0} is undeclared"),
+            bit), meta)
+
+    @cached_property
+    def states(self) -> FrozenSet[StateId]:
+        return frozenset(self.index.order)
+
+    @cached_property
+    def agents(self) -> FrozenSet[Agent]:
+        return frozenset(self.index.rows)
+
+    @cached_property
+    def props(self) -> FrozenSet[Prop]:
+        return frozenset(self.index.valuation)
+
+    @cached_property
+    def relations(self) -> Mapping[Agent, Edges]:
+        idx = self.index
+        return MappingProxyType({a: Edges(idx.order, idx.bit, row) for a, row in idx.rows.items()})
+
+    @cached_property
+    def valuation(self) -> Dict[Prop, FrozenSet[StateId]]:
+        return {p: self.index.states_of(m) for p, m in self.index.valuation.items()}
+
+    @cached_property
+    def locals(self) -> Dict[Agent, FrozenSet[StateId]]:
+        return {a: self.index.states_of(m) for a, m in self.index.locals.items()}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"KripkeModel is immutable: cannot set {name!r}")
@@ -402,50 +425,34 @@ class KripkeModel:
     def __eq__(self, other):
         if not isinstance(other, KripkeModel):
             return NotImplemented
-        # Equal state sets are numbered alike, so the rows compare directly.
-        return (self.states == other.states and self.agents == other.agents
-                and self.props == other.props and self.valuation == other.valuation
-                and self.locals == other.locals and self.index.rows == other.index.rows)
+        # Equal state sets are numbered alike, so the masks compare directly.
+        a, b = self.index, other.index
+        return (a.order == b.order and a.rows == b.rows and a.valuation == b.valuation
+                and a.locals == b.locals)
 
     def __repr__(self) -> str:
         return (f"KripkeModel(states={[s.name for s in self.index.order]}, "
                 f"agents={sorted(self.agents)}, props={sorted(self.props)}, "
                 f"edges={ {a: len(self.relations[a]) for a in sorted(self.agents)} })")
 
-    @classmethod
-    def build(cls, states, agents, props, relations, valuation, locals, meta=None):
-        """Normalize plain iterables / string state names into a validated model.
-
-        Each distinct state name is parsed once, and every mention of it
-        becomes the same `StateId` object.
-        """
-        st = _StateIds().__getitem__
-        return cls(
-            states=map(st, states),
-            agents=agents,
-            props=props,
-            relations={a: ((st(s), st(t)) for (s, t) in edges)
-                       for a, edges in dict(relations).items()},
-            valuation={p: map(st, sts) for p, sts in dict(valuation).items()},
-            locals={a: map(st, sts) for a, sts in dict(locals).items()},
-            meta=meta,
-        )
-
     def require_agent(self, agent: Agent) -> None:
-        if agent not in self.agents:
+        if agent not in self.index.rows:
             raise ModelError(f"unknown agent: {agent}")
 
-    def require_state(self, state: StateId) -> None:
-        if state not in self.states:
+    def require_state(self, state: StateId) -> int:
+        """The number of `state`, which must be one of the model's."""
+        k = self.index.bit.get(state)
+        if k is None:
             raise ModelError(f"unknown state: {state}")
+        return k
 
 
 def successors(model: KripkeModel, agent: Agent, state: StateId) -> FrozenSet[StateId]:
     """All states reachable from `state` by one edge of `agent`."""
     model.require_agent(agent)
-    model.require_state(state)
+    k = model.require_state(state)
     idx = model.index
-    return idx.states_of(idx.rows[agent][idx.bit[state]])
+    return idx.states_of(idx.rows[agent][k])
 
 
 def subjective_relation(model: KripkeModel, agent: Agent) -> Edges:
@@ -484,7 +491,7 @@ def prune_unreachable(model: KripkeModel, seeds: Iterable[StateId]) -> KripkeMod
     for a in sorted(model.agents):
         if not idx.locals[a] & kept:
             raise ModelError(f"pruning would empty the local states of agent {a}")
-    return KripkeModel.from_index(idx.restricted(kept), model.meta)
+    return KripkeModel(idx.restricted(kept), model.meta)
 
 
 def replicate_with_lineage(model: KripkeModel, tag: str) -> KripkeModel:
@@ -492,4 +499,4 @@ def replicate_with_lineage(model: KripkeModel, tag: str) -> KripkeModel:
     if tag not in LINEAGE_TAGS:
         raise ModelError(f"bad lineage tag: {tag!r}")
     idx = model.index
-    return KripkeModel.from_index(idx.relabel([s.tagged(tag) for s in idx.order]), model.meta)
+    return KripkeModel(idx.relabel([s.tagged(tag) for s in idx.order]), model.meta)

@@ -29,9 +29,8 @@ from .model import Agent, KripkeModel, ModelError, StateId, pack, positions
 
 def presence_at(model: KripkeModel, j: Agent, state: StateId) -> bool:
     """True iff `state` has at least one j-edge; false for absent agents."""
-    model.require_state(state)
-    idx = model.index
-    return bool(idx.present.get(j, 0) >> idx.bit[state] & 1)
+    k = model.require_state(state)
+    return bool(model.index.present.get(j, 0) >> k & 1)
 
 
 # A box or diamond whose need holds more than this share of the states tests

@@ -12,7 +12,9 @@ Each relation is an adjacency map from a source to the list of its
 successors.  Loading also reads the older form of a relation, a list of
 `[s, t]` pairs, chosen per agent by its JSON type; saving writes maps
 only, listing just the sources that have a successor.  A JSON object
-that gives one key twice is an error, not a silent overwrite.
+that gives one key twice is an error, not a silent overwrite.  Loading
+checks the document's shapes and leaves its names and edges to
+`KripkeModel.build`, the one reader of both.
 
 State names carry lineage inline: "3@act", "1@act@shift".  Saving always
 emits the canonical form (sorted keys, sorted lists), so a canonical
@@ -28,14 +30,11 @@ import contextlib
 import json
 import os
 import shutil
-from functools import reduce
-from itertools import groupby
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter, or_
-from typing import Dict, List
+from typing import Dict, List, Optional
 
-from .model import (KripkeModel, ModelError, ModelIndex, StateId, check_symbols, mask_of,
-                    positions, state_key)
+from .model import KripkeModel, ModelError, StateId, positions
 
 
 class DocumentError(ValueError):
@@ -79,68 +78,36 @@ def _string_lists(value, where: str) -> dict:
     return value
 
 
-_source, _target = itemgetter(0), itemgetter(1)
+def _lists(relation) -> bool:
+    """Whether `relation` is an adjacency map whose values are lists or a
+    list of two-element lists: tested in C, without reading the names."""
+    if type(relation) is dict:
+        return set(map(type, relation.values())) <= {list}
+    return set(map(type, relation)) <= {list} and set(map(len, relation)) <= {2}
 
 
-def _rows(a: str, relation, bit: Dict[str, int], one: Dict[str, int],
-          made: Dict[tuple, int]) -> List[int]:
-    """Agent a's successor rows from its relation, an adjacency map
-    {s: [t, ...]} or a list of [s, t] name pairs, where `bit` numbers the
-    names and `one` holds each name's one-bit mask.  `made` keeps the row
-    of each target list already read, keyed by its contents: rows repeat
-    (every row of a universal block is the same list), and each distinct
-    one is made, and held, once."""
-    row = [0] * len(bit)
-
-    def targets_row(targets) -> int:
-        # The targets are ORed in C.  One that is not a declared name
-        # fails its lookup.
-        key = tuple(targets)
-        mask = made.get(key)
-        if mask is None:
-            mask = made[key] = reduce(or_, map(one.__getitem__, key), 0)
-        return mask
-
-    try:
-        if type(relation) is dict:
-            if set(map(type, relation.values())) <= {list}:
-                for s, targets in relation.items():
-                    row[bit[s]] = targets_row(targets)
-                return row
-        elif set(map(type, relation)) <= {list} and set(map(len, relation)) <= {2}:
-            for s, group in groupby(relation, _source):
-                k, mask = bit[s], targets_row(map(_target, group))
-                row[k] = row[k] | mask if row[k] else mask  # a source may have several runs
-            return row
-    except (TypeError, KeyError):
-        pass
-    raise DocumentError(_relation_fault(a, relation, bit))
-
-
-def _relation_fault(a: str, relation, bit: Dict[str, int]) -> str:
-    """What is wrong with agent a's relation, which `_rows` refused."""
+def _relation_fault(a: str, relation) -> Optional[str]:
+    """What is wrong with the shape of agent a's relation, if anything."""
     if type(relation) is dict:
         for s, targets in relation.items():
             if type(targets) is not list or not all(type(t) is str for t in targets):
                 return f"relations.{a}.{s} must be a list of state names"
-        names = (x for s, targets in relation.items() for x in (s, *targets))
     else:
         for k, pair in enumerate(relation):
             if not (type(pair) is list and len(pair) == 2
                     and type(pair[0]) is str and type(pair[1]) is str):
                 return f"relations.{a}[{k}] must be a pair of state names [s, t]"
-        names = (x for pair in relation for x in pair)
-    return f"relations.{a} uses undeclared state {next(x for x in names if x not in bit)}"
+    return None
 
 
 def doc_to_model(doc: dict) -> KripkeModel:
     """The model a document describes.  Every field must have exactly the
     shape of the schema above, a relation either shape; anything else
-    raises `DocumentError`.
+    raises `DocumentError`.  The checked fields go to `KripkeModel.build`.
 
-    Each state name is parsed once and given its bit in the sorted
-    numbering, and each source's targets are ORed into its row: no edge
-    object is made."""
+    The names inside a relation are read only there: one that is not a
+    string is in no numbering, so `build` refuses it, and then the
+    relation's shape fault is reported."""
     if not isinstance(doc, dict):
         raise DocumentError("model document must be a JSON object")
     for key in ("states", "agents", "props", "relations", "valuation", "locals"):
@@ -155,27 +122,18 @@ def doc_to_model(doc: dict) -> KripkeModel:
     for a, relation in relations.items():
         if type(relation) not in (dict, list):
             raise DocumentError(f"relations.{a} must be an adjacency map or a list of [s, t] pairs")
+        if not _lists(relation):
+            raise DocumentError(_relation_fault(a, relation))
     valuation = _string_lists(doc["valuation"], "valuation")
     locals_ = _string_lists(doc["locals"], "locals")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):
         raise DocumentError("meta must be a JSON object of strings")
     try:
-        ids = {name: StateId.parse(name) for name in states}
-        names = sorted(ids, key=lambda name: state_key(ids[name]))
-        bit = dict(zip(names, range(len(names))))
-        one = {name: 1 << k for name, k in bit.items()}
-        check_symbols(agents, props, relations, valuation, locals_)
-        made: Dict[tuple, int] = {}
-        rows = {a: _rows(a, relation, bit, one, made) for a, relation in relations.items()}
-        vmasks = {p: mask_of(sts, bit, f"valuation of {p} names undeclared state {{}}")
-                  for p, sts in valuation.items()}
-        lmasks = {a: mask_of(sts, bit, f"local state {{}} of agent {a} is undeclared")
-                  for a, sts in locals_.items()}
-        return KripkeModel.from_index(ModelIndex(tuple(map(ids.__getitem__, names)), rows,
-                                                 vmasks, lmasks), meta)
-    except ModelError as e:
-        raise DocumentError(str(e)) from e
+        return KripkeModel.build(states, agents, props, relations, valuation, locals_, meta)
+    except (ModelError, TypeError) as e:  # TypeError: a name that cannot be hashed
+        faults = (_relation_fault(a, relation) for a, relation in relations.items())
+        raise DocumentError(next(filter(None, faults), None) or str(e)) from e
 
 
 def _members(pairs: list) -> dict:
@@ -183,8 +141,8 @@ def _members(pairs: list) -> dict:
     keep the last one and drop the rest unseen."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [k for k, _v in pairs]
-        dup = next(k for k in keys if keys.count(k) > 1)
+        counts = Counter(k for k, _v in pairs)
+        dup = next(k for k, n in counts.items() if n > 1)
         raise DocumentError(f"duplicate key {_quote(dup)} in a JSON object")
     return obj
 

@@ -107,7 +107,7 @@ def update_offline(model: KripkeModel, j: Agent) -> UpdateResult:
     interim = ModelIndex(idx.order, {a: idx.rows[a] for a in agents}, idx.valuation,
                          {a: idx.locals[a] for a in agents}, idx.bit)
     kept = interim.closure(reduce(or_, interim.locals.values(), 0), agents)
-    after = KripkeModel.from_index(interim.restricted(kept), model.meta)
+    after = KripkeModel(interim.restricted(kept), model.meta)
     return _finish(model, after, idx.states_of(idx.full & ~kept))
 
 
@@ -125,7 +125,7 @@ def update_online(model: KripkeModel, j: Agent,
     for s in new_locals:
         model.require_state(s)
     idx = model.index
-    after = KripkeModel.from_index(
+    after = KripkeModel(
         ModelIndex(idx.order, {**idx.rows, j: [idx.full] * len(idx.order)}, idx.valuation,
                    {**idx.locals, j: idx.mask(new_locals)}, idx.bit),
         model.meta)
@@ -191,7 +191,7 @@ def _split(model: KripkeModel, informed: FrozenSet[Agent], dropped: Optional[Age
         kept = to_shift(shift_kept)
         rows[newcomer] = [kept if side else 0 for (_s, side, _k) in copies]
         locals_[newcomer] = to_shift(newcomer_locals)
-    after = KripkeModel.from_index(
+    after = KripkeModel(
         ModelIndex(tuple(c[0] for c in copies), rows,
                    {p: to_act(m) | to_shift(m) for p, m in idx.valuation.items()}, locals_),
         model.meta)

@@ -54,6 +54,9 @@ class TestStateId:
         for other in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
             assert hash(other) == hash(("3", ("act",)))
 
+    def test_states_are_slotted(self):
+        assert not hasattr(S("3@act"), "__dict__")
+
 
 class TestIndex:
     def test_built_once_per_model(self):
@@ -86,6 +89,9 @@ class TestIndex:
         for k in rng.sample(range(width), rng.randint(0, min(width, 400))):
             mask |= 1 << k
         assert list(positions(mask)) == [k for k in range(width) if mask >> k & 1]
+        # Every mask up to 12 bits wide, where the rule's floor decides.
+        for mask in range(1 << 12):
+            assert list(positions(mask)) == [k for k in range(12) if mask >> k & 1]
 
 
 class TestModelValue:
@@ -101,13 +107,13 @@ class TestModelValue:
 
     def test_equality_compares_edges_not_meta(self):
         m = figure2()
-        same = KripkeModel(states=m.states, agents=m.agents, props=m.props,
-                           relations={a: set(m.relations[a]) for a in m.agents},
-                           valuation=m.valuation, locals=m.locals, meta={"name": "other"})
+        same = KripkeModel.build(states=m.states, agents=m.agents, props=m.props,
+                                 relations={a: set(m.relations[a]) for a in m.agents},
+                                 valuation=m.valuation, locals=m.locals, meta={"name": "other"})
         assert same == m
         fewer = dict(m.relations, m=set(m.relations["m"]) - {(S("1"), S("2"))})
-        assert KripkeModel(states=m.states, agents=m.agents, props=m.props, relations=fewer,
-                           valuation=m.valuation, locals=m.locals) != m
+        assert KripkeModel.build(states=m.states, agents=m.agents, props=m.props,
+                                 relations=fewer, valuation=m.valuation, locals=m.locals) != m
 
 
 class TestValidation:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epk import (DocumentError, KripkeModel, StateId, doc_to_model, dumps_dot,
+from epk import (DocumentError, KripkeModel, ModelError, StateId, doc_to_model, dumps_dot,
                  dumps_model, export_dot, load_model, model_to_doc, save_model,
                  serialize)
 from epk import cli
@@ -32,6 +32,34 @@ def as_pairs(doc):
 
 
 FIXTURES = ("figure2", "figure2_minus_g", "cube3", "gruffalo")
+
+
+@st.composite
+def shaped_documents(draw):
+    """Documents of the schema's shapes, each relation a map or a pair
+    list, whose names are now and then undeclared or malformed, and whose
+    fields now and then miss an agent or a proposition."""
+    now_and_then = st.sampled_from([False] * 9 + [True])
+    states = draw(st.lists(st.sampled_from(["1", "2", "3", "1@act", "2@shift", "3@act@shift"] * 4
+                                           + ["1@bogus"]), max_size=6))
+    named = st.sampled_from(states * 8 + ["9"])
+    agents = draw(st.lists(st.sampled_from(["a", "b", "c"] * 4 + ["c d"]), min_size=1,
+                           max_size=3, unique=True))
+    props = draw(st.lists(st.sampled_from(["p", "q"]), max_size=2, unique=True))
+    names = st.lists(named, max_size=3)
+    relation = (st.dictionaries(named, names, max_size=4)
+                | st.lists(st.lists(named, min_size=2, max_size=2), max_size=6))
+    doc = {"states": states, "agents": agents, "props": props,
+           "relations": {a: draw(relation) for a in agents},
+           "valuation": {p: draw(names) for p in props},
+           "locals": {a: [] if draw(now_and_then) else draw(st.lists(named, min_size=1,
+                                                                      max_size=3))
+                      for a in agents},
+           "meta": draw(st.dictionaries(st.sampled_from(["name", "x"]), st.text(max_size=3)))}
+    if draw(now_and_then):
+        field = draw(st.sampled_from(["relations", "valuation", "locals"]))
+        doc[field] = dict(list(doc[field].items())[1:])
+    return doc
 
 
 class TestDocuments:
@@ -200,6 +228,21 @@ class TestDocuments:
             meta=rng.choice([{}, {"name": "x\ny", "\u00fc": ""}, {"n": [1, {"b": None}], "e": {}}]))
         expected = json.dumps(model_to_doc(model), indent=2, sort_keys=True) + "\n"
         assert dumps_model(model) == expected
+
+    @given(shaped_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_documents_read_as_build_reads_their_fields(self, doc):
+        # Loading checks the shapes and leaves names and edges to `build`.
+        try:
+            built = KripkeModel.build(**doc).index
+        except ModelError as e:
+            with pytest.raises(DocumentError) as refused:
+                doc_to_model(doc)
+            assert str(refused.value) == str(e)
+            return
+        loaded = doc_to_model(doc).index
+        assert ((loaded.order, loaded.rows, loaded.valuation, loaded.locals)
+                == (built.order, built.rows, built.valuation, built.locals))
 
     def test_lineage_in_state_names(self, tmp_path):
         from epk import lie_online
