@@ -1,6 +1,6 @@
 """Kripke models with per-agent local states, plus the graph utilities
-(successor lookup, reachability closure, pruning, tagged replication) that
-the update operators are built from.
+(successor lookup, reachability closure, product with an action model's
+events, pruning, tagged replication) that the update operators use.
 
 A model is its `ModelIndex`: its states numbered in sorted order, every
 agent's relation as successor rows (one bitmask per state over that
@@ -174,6 +174,11 @@ def carrier(to: List[int]) -> Callable[[int], int]:
     return carry
 
 
+# An agent's (home, links) in `ModelIndex.product`; STAY keeps it in a lone event.
+Wiring = Tuple[int, Tuple[Optional[int], ...]]
+STAY: Wiring = (0, (0,))
+
+
 class ModelIndex:
     """A model's states numbered in sorted order, with every set of states
     held as a bitmask over that numbering: bit k stands for `order[k]`.
@@ -219,37 +224,58 @@ class ModelIndex:
                 out |= row[k]
         return out
 
-    def relabel(self, new: List[Optional[StateId]]) -> "ModelIndex":
-        """The index with state k renamed `new[k]`, or left out where that
-        is None.  The states kept must be closed under every agent's edges:
-        each kept row is carried to the new sorted numbering whole."""
-        keep = sorted((k for k, s in enumerate(new) if s is not None),
-                      key=lambda k: state_key(new[k]))
-        order = tuple(new[k] for k in keep)
-        if keep == list(range(len(new))):  # the same numbering
-            return ModelIndex(order, self.rows, self.valuation, self.locals)
-        to = [0] * len(new)
-        for pos, k in enumerate(keep):
-            to[k] = 1 << pos
-        carry = carrier(to)
-        return ModelIndex(
-            order,
-            {a: [carry(rows[k]) for k in keep] for a, rows in self.rows.items()},
-            {p: carry(m) for p, m in self.valuation.items()},
-            {a: carry(m) for a, m in self.locals.items()})
+    def product(self, tags: Tuple[Optional[str], ...], kept: List[int],
+                agents: Mapping[Agent, Wiring]) -> "ModelIndex":
+        """The index of the copies `kept` of a product of this index with
+        one event per tag: the one renumbering of states.
 
-    def restricted(self, kept: int) -> "ModelIndex":
-        """The index of the states in `kept`, which must be closed under
-        every agent's edges."""
-        if kept == self.full:
-            return self
-        return self.relabel([s if kept >> k & 1 else None for k, s in enumerate(self.order)])
+        Copy e of state k is kept iff bit k of `kept[e]` is set, and is
+        named `order[k]` tagged `tags[e]`, or `order[k]` itself for a lone
+        event tagged None.  `agents[a] = (home, links)` puts a's local
+        states in event `home`, and its edges out of event e into event
+        `links[e]`, or nowhere where that is None.  The kept copies must
+        hold every edge so placed: each row is carried whole.
+
+        The copies are numbered in sorted order and each event's rows are
+        carried by one `carrier`, so each distinct row is carried once.
+        Copies in the input's numbering share its rows and masks, and its
+        `bit` too when the names are unchanged."""
+        order, n = self.order, len(self.order)
+        if tags == (None,):  # the names, and so their order, are unchanged
+            copies = None if kept[0] == self.full else [(order[k], k, 0)
+                                                        for k in positions(kept[0])]
+        else:
+            copies = sorted([(order[k].tagged(tag), k, e) for e, tag in enumerate(tags)
+                             for k in positions(kept[e])], key=lambda c: state_key(c[0]))
+            if len(tags) == 1 and [k for _s, k, _e in copies] == list(range(n)):
+                order, copies = tuple(c[0] for c in copies), None
+        if copies is None:  # one event holding every state, in the input's numbering
+            rows = {a: self.rows[a] if links == (0,) else [0] * n
+                    for a, (_home, links) in agents.items()}
+            if order is self.order and rows == self.rows:
+                return self
+            return ModelIndex(order, rows, self.valuation, {a: self.locals[a] for a in agents},
+                              self.bit if order is self.order else None)
+        to = [[0] * n for _ in tags]
+        for pos, (_s, k, e) in enumerate(copies):
+            to[e][k] = 1 << pos
+        carry = [carrier(t) for t in to]
+        rows: Dict[Agent, List[int]] = {}
+        for a, (_home, links) in agents.items():
+            old, into = self.rows[a], [None if f is None else carry[f] for f in links]
+            rows[a] = [0 if into[e] is None else into[e](old[k]) for _s, k, e in copies]
+        return ModelIndex(
+            tuple(c[0] for c in copies), rows,
+            {p: reduce(or_, (c(m) for c in carry)) for p, m in self.valuation.items()},
+            {a: carry[home](self.locals[a]) for a, (home, _links) in agents.items()})
 
     def closure(self, mask: int, agents: Iterable[Agent]) -> int:
-        """The smallest superset of `mask` closed under the agents' edges."""
+        """The smallest superset of `mask` closed under the agents' edges.
+        The walk stops once every state is seen: one step along a universal
+        relation reaches them all."""
         agents = list(agents)
         seen = frontier = mask
-        while frontier:
+        while frontier and seen != self.full:
             frontier = self.image(frontier, agents) & ~seen
             seen |= frontier
         return seen
@@ -491,7 +517,7 @@ def prune_unreachable(model: KripkeModel, seeds: Iterable[StateId]) -> KripkeMod
     for a in sorted(model.agents):
         if not idx.locals[a] & kept:
             raise ModelError(f"pruning would empty the local states of agent {a}")
-    return KripkeModel(idx.restricted(kept), model.meta)
+    return KripkeModel(idx.product((None,), [kept], dict.fromkeys(idx.rows, STAY)), model.meta)
 
 
 def replicate_with_lineage(model: KripkeModel, tag: str) -> KripkeModel:
@@ -499,4 +525,4 @@ def replicate_with_lineage(model: KripkeModel, tag: str) -> KripkeModel:
     if tag not in LINEAGE_TAGS:
         raise ModelError(f"bad lineage tag: {tag!r}")
     idx = model.index
-    return KripkeModel(idx.relabel([s.tagged(tag) for s in idx.order]), model.meta)
+    return KripkeModel(idx.product((tag,), [idx.full], dict.fromkeys(idx.rows, STAY)), model.meta)

@@ -3,24 +3,34 @@
 Truthful updates announce a real departure (offline) or arrival (online) to
 everyone.  Untruthful updates split the model into an "act" region that only
 the informed agents can see and a "shift" region housing the misinformed
-agents' picture of the world, wired together by one-way cross edges.  Both
-lies are one kernel, `_split`, which differs between them only in who is
-informed and in what happens to the target agent in the shift region.
+agents' picture of the world, wired together by one-way cross edges.
+
+All four are product updates of the model with a small action model (Baltag,
+Moss and Solecki 1998), made by one kernel, `_product`.  A truthful update
+has one event, which keeps the state names; a lie has two, "act" and
+"shift".  Each update is its wiring: the event that holds each agent's local
+states, and the event that its edges out of each event lead into.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .formulas import CertainAgent
-from .model import Agent, KripkeModel, ModelError, ModelIndex, StateId, carrier, state_key
+from .model import STAY, Agent, KripkeModel, ModelError, ModelIndex, StateId, Wiring, carrier
 from .semantics import holds_for_agent
 
 UPDATE_KINDS = ("offline", "online", "lie_offline", "lie_online")
+
+# A lie has an "act" and a "shift" event.  Informed agents live in act and
+# keep their edges there; the misinformed live in shift, and their edges out
+# of act lead one way into it.  In shift everyone keeps their edges, except
+# the target of an offline lie, which has none there.
+LIE = ("act", "shift")
+INFORMED: Wiring = (0, (0, 1))
+MISINFORMED: Wiring = (1, (1, 1))
 
 
 @dataclass(frozen=True)
@@ -57,9 +67,12 @@ def _edge_diff(before: KripkeModel, after: KripkeModel):
     """Edges added and removed per agent, counted on the rows: edges both
     models have are counted by carrying `after`'s rows into `before`'s
     numbering, which states only `after` has drop out of.  When both
-    models share one numbering the rows compare as they are."""
+    models share one numbering the rows compare as they are, and only
+    then is a row list both share unchanged: a replica shares its input's
+    rows under new names."""
     old_idx, new_idx = before.index, after.index
-    if new_idx.order is old_idx.order:
+    same = new_idx.order is old_idx.order
+    if same:
         to_old, carry = range(len(old_idx.order)), (lambda mask: mask)
     else:
         to_old = [old_idx.bit.get(s) for s in new_idx.order]
@@ -67,22 +80,58 @@ def _edge_diff(before: KripkeModel, after: KripkeModel):
     added, removed = {}, {}
     for a in sorted(before.agents | after.agents):
         old, new = old_idx.rows.get(a), new_idx.rows.get(a)
-        if new is old:
+        if new is old and same:
             added[a] = removed[a] = 0
             continue
         common = 0 if old is None or new is None else sum(
             (old[k] & carry(row)).bit_count()
             for k, row in zip(to_old, new) if k is not None and row)
-        n_old, n_new = len(before.relations.get(a, ())), len(after.relations.get(a, ()))
+        n_old, n_new = (sum(map(int.bit_count, rows or ())) for rows in (old, new))
         added[a], removed[a] = n_new - common, n_old - common
     return added, removed
 
 
-def _finish(before: KripkeModel, after: KripkeModel,
-            discarded: Iterable[StateId]) -> UpdateResult:
-    added, removed = _edge_diff(before, after)
-    return UpdateResult(model=after, discarded_states=frozenset(discarded),
-                        added_edges=added, removed_edges=removed)
+def _product(model: KripkeModel, tags: Tuple[Optional[str], ...],
+             wiring: Dict[Agent, Wiring],
+             newcomer: Optional[Agent] = None,
+             new_locals: FrozenSet[StateId] = frozenset()) -> UpdateResult:
+    """The product update of `model` with an action model of one event per
+    tag (Baltag, Moss and Solecki 1998), pruned to the copies reachable
+    from every agent's local states.  A lone event tagged None keeps the
+    state names.
+
+    `wiring[a] = (home, links)`: agent a's local states lie in event
+    `home`, and its edges out of event e lead into event `links[e]`, or
+    nowhere where that is None.  A link never points to an earlier event.
+    Agents left out of `wiring` are dropped.  A `newcomer` joins with the
+    universal relation on the last event and `new_locals` as its local
+    states there.
+
+    Which copies survive is worked out on the input's masks, one event at
+    a time: an event keeps the closure of its seeds under the agents that
+    stay in it, and the images of those states under the other agents
+    seed later events.  A newcomer's event, which its local states seed,
+    is kept whole: the universal relation reaches every state.
+    """
+    idx = model.index
+    if newcomer is not None:  # joins the input, so its rows are carried as any agent's
+        last = len(tags) - 1
+        idx = ModelIndex(idx.order, {**idx.rows, newcomer: [idx.full] * len(idx.order)},
+                         idx.valuation, {**idx.locals, newcomer: idx.mask(new_locals)}, idx.bit)
+        wiring = {**wiring, newcomer: (last, (None,) * last + (last,))}
+    seeds = [0] * len(tags)
+    for a, (home, _links) in wiring.items():
+        seeds[home] |= idx.locals[a]
+    kept = []
+    for e in range(len(tags)):
+        into = [[a for a, (_h, links) in wiring.items() if links[e] == f] for f in range(len(tags))]
+        kept.append(idx.full if newcomer in into[e] else idx.closure(seeds[e], into[e]))
+        for f in range(e + 1, len(tags)):
+            seeds[f] |= idx.image(kept[e], into[f])
+    after = KripkeModel(idx.product(tags, kept, wiring), model.meta)
+    discarded = frozenset(s if tag is None else s.tagged(tag) for tag, m in zip(tags, kept)
+                          if m != idx.full for s in idx.states_of(idx.full & ~m))
+    return UpdateResult(after, discarded, *_edge_diff(model, after))
 
 
 def apply_update(model: KripkeModel, spec: UpdateSpec) -> UpdateResult:
@@ -102,13 +151,7 @@ def update_offline(model: KripkeModel, j: Agent) -> UpdateResult:
     from the remaining agents' local states.
     """
     model.require_agent(j)
-    idx = model.index
-    agents = sorted(model.agents - {j})
-    interim = ModelIndex(idx.order, {a: idx.rows[a] for a in agents}, idx.valuation,
-                         {a: idx.locals[a] for a in agents}, idx.bit)
-    kept = interim.closure(reduce(or_, interim.locals.values(), 0), agents)
-    after = KripkeModel(interim.restricted(kept), model.meta)
-    return _finish(model, after, idx.states_of(idx.full & ~kept))
+    return _product(model, (None,), {a: STAY for a in model.index.rows if a != j})
 
 
 def update_online(model: KripkeModel, j: Agent,
@@ -124,80 +167,7 @@ def update_online(model: KripkeModel, j: Agent,
         raise ModelError(f"new agent {j} needs a non-empty set of local states")
     for s in new_locals:
         model.require_state(s)
-    idx = model.index
-    after = KripkeModel(
-        ModelIndex(idx.order, {**idx.rows, j: [idx.full] * len(idx.order)}, idx.valuation,
-                   {**idx.locals, j: idx.mask(new_locals)}, idx.bit),
-        model.meta)
-    return _finish(model, after, ())
-
-
-def _split(model: KripkeModel, informed: FrozenSet[Agent], dropped: Optional[Agent] = None,
-           newcomer: Optional[Agent] = None,
-           new_locals: FrozenSet[StateId] = frozenset()) -> UpdateResult:
-    """The two-copy split both lies share: product update with a two-event
-    action model (Baltag, Moss and Solecki 1998), pruned to the states
-    reachable from every agent's local states.
-
-    Every state gets an "act" and a "shift" copy.  Informed agents keep
-    their edges and local states in the act copy.  Every other agent's
-    local states move to the shift copy, and its edges from act states
-    lead one way into it.  In the shift copy every agent keeps its edges
-    except `dropped`, which has none there; a `newcomer` joins with the
-    universal relation on the shift copy and the local states `new_locals`
-    there.
-
-    Which copies survive pruning is worked out on the input's successor
-    masks first; then each kept copy's row is the input row carried into
-    the output's numbering.
-    """
-    idx = model.index
-    n = len(idx.order)
-    agents = sorted(model.agents)
-    misinformed = [a for a in agents if a not in informed]
-    newcomer_locals = idx.mask(new_locals)
-
-    # Act states are reached only from act states; shift states from the
-    # misinformed agents' local states, along their edges out of the kept
-    # act states, and from the newcomer's local states.
-    act_kept = idx.closure(reduce(or_, (idx.locals[a] for a in informed), 0), informed)
-    shift_seeds = (reduce(or_, (idx.locals[a] for a in misinformed), 0)
-                   | idx.image(act_kept, misinformed) | newcomer_locals)
-    if newcomer is not None and shift_seeds:
-        shift_kept = idx.full  # the universal relation reaches every shift state
-    else:
-        shift_kept = idx.closure(shift_seeds, [a for a in agents if a != dropped])
-
-    # Number the kept copies in sorted order; act_at[k] and shift_at[k]
-    # are the one-bit masks of state k's copies there (0 when not kept).
-    copies = sorted([(s.tagged("act"), 0, k) for k, s in enumerate(idx.order) if act_kept >> k & 1]
-                    + [(s.tagged("shift"), 1, k) for k, s in enumerate(idx.order)
-                       if shift_kept >> k & 1],
-                    key=lambda c: state_key(c[0]))
-    act_at, shift_at = [0] * n, [0] * n
-    for pos, (_s, side, k) in enumerate(copies):
-        (shift_at if side else act_at)[k] = 1 << pos
-    to_act, to_shift = carrier(act_at), carrier(shift_at)
-
-    rows: Dict[Agent, List[int]] = {}
-    locals_: Dict[Agent, int] = {}
-    for a in agents:
-        old = idx.rows[a]
-        into = to_act if a in informed else to_shift
-        rows[a] = [(0 if a == dropped else to_shift(old[k])) if side else into(old[k])
-                   for (_s, side, k) in copies]
-        locals_[a] = into(idx.locals[a])
-    if newcomer is not None:
-        kept = to_shift(shift_kept)
-        rows[newcomer] = [kept if side else 0 for (_s, side, _k) in copies]
-        locals_[newcomer] = to_shift(newcomer_locals)
-    after = KripkeModel(
-        ModelIndex(tuple(c[0] for c in copies), rows,
-                   {p: to_act(m) | to_shift(m) for p, m in idx.valuation.items()}, locals_),
-        model.meta)
-    discarded = ([s.tagged("act") for s in idx.states_of(idx.full & ~act_kept)]
-                 + [s.tagged("shift") for s in idx.states_of(idx.full & ~shift_kept)])
-    return _finish(model, after, discarded)
+    return _product(model, (None,), dict.fromkeys(model.index.rows, STAY), j, new_locals)
 
 
 def lie_offline(model: KripkeModel, i: Agent, j: Agent) -> UpdateResult:
@@ -217,7 +187,8 @@ def lie_offline(model: KripkeModel, i: Agent, j: Agent) -> UpdateResult:
                 f"lie_offline: C[{k},{j}] does not hold before the lie; "
                 "the informed agents' certainty of the target is not preserved",
                 stacklevel=2)
-    return _split(model, informed=frozenset({i, j}), dropped=j)
+    return _product(model, LIE, {**dict.fromkeys(model.index.rows, MISINFORMED),
+                                 i: INFORMED, j: (0, (0, None))})
 
 
 def lie_online(model: KripkeModel, i: Agent, j: Agent,
@@ -237,4 +208,5 @@ def lie_online(model: KripkeModel, i: Agent, j: Agent,
         raise ModelError(f"new agent {j} needs a non-empty set of local states")
     for s in new_locals:
         model.require_state(s)
-    return _split(model, informed=frozenset({i}), newcomer=j, new_locals=new_locals)
+    return _product(model, LIE, {**dict.fromkeys(model.index.rows, MISINFORMED), i: INFORMED},
+                    j, new_locals)

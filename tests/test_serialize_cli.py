@@ -7,6 +7,7 @@ import shutil
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -73,7 +74,7 @@ class TestDocuments:
             load_model(fixture_path(name))
 
     def test_undeclared_state_in_edge(self):
-        doc = json.load(open(fixture_path("figure2")))
+        doc = json.loads(Path(fixture_path("figure2")).read_text())
         pairs = as_pairs(doc)
         doc["relations"]["g"]["4"] = ["4"]
         with pytest.raises(DocumentError, match="4"):
@@ -84,7 +85,7 @@ class TestDocuments:
 
     def test_fixtures_read_as_pair_lists(self):
         for name in FIXTURES:
-            doc = json.load(open(fixture_path(name)))
+            doc = json.loads(Path(fixture_path(name)).read_text())
             assert all(isinstance(rel, dict) for rel in doc["relations"].values())
             assert doc_to_model(as_pairs(doc)) == load_model(fixture_path(name))
 
@@ -205,7 +206,7 @@ class TestDocuments:
     def test_fixture_files_are_canonical(self):
         for name in FIXTURES:
             path = fixture_path(name)
-            on_disk = open(path, "rb").read()
+            on_disk = Path(path).read_bytes()
             assert dumps_model(load_model(path)).encode() == on_disk
 
     @given(st.integers(0, 10**9))
@@ -261,7 +262,7 @@ def _refuse(src, dst):
 class TestAtomicWrites:
     def _copy_of_figure2(self, tmp_path):
         src = tmp_path / "m.json"
-        src.write_bytes(open(fixture_path("figure2"), "rb").read())
+        src.write_bytes(Path(fixture_path("figure2")).read_bytes())
         return src
 
     def test_failed_serialization_leaves_in_place_input_alone(self, tmp_path, monkeypatch):
@@ -449,14 +450,14 @@ class TestCli:
 
     def test_update_does_not_touch_input_without_in_place(self, tmp_path):
         src = tmp_path / "m.json"
-        src.write_bytes(open(fixture_path("figure2"), "rb").read())
+        src.write_bytes(Path(fixture_path("figure2")).read_bytes())
         before = src.read_bytes()
         run_cli(str(src), "update", "offline", "g", "-o", str(tmp_path / "out.json"))
         assert src.read_bytes() == before
 
     def test_update_in_place(self, tmp_path):
         src = tmp_path / "m.json"
-        src.write_bytes(open(fixture_path("figure2"), "rb").read())
+        src.write_bytes(Path(fixture_path("figure2")).read_bytes())
         code, _, _ = run_cli(str(src), "update", "offline", "g", "--in-place")
         assert code == 0
         assert "g" not in load_model(str(src)).agents
@@ -465,7 +466,7 @@ class TestCli:
         out_path = str(tmp_path / "m.dot")
         code, _, _ = run_cli(fixture_path("figure2"), "export-dot", "-o", out_path)
         assert code == 0
-        assert open(out_path).read().startswith("digraph model {")
+        assert Path(out_path).read_text().startswith("digraph model {")
 
     def test_show(self):
         code, out, _ = run_cli(fixture_path("figure2"), "show")
