@@ -9,7 +9,9 @@ subformula is decided only where its truth is asked, at the states that
 the boxes above it reach from the states the query is about.  `holds_at`
 asks about one state, `holds_for_agent` about the agent's local states and
 `holds_globally` about every state, so a pointed query costs the states
-near its point, not |S|.
+near its point, not |S|.  The two universal checks stop at their least
+counterexample: they ask the least state of their scope alone before
+labelling the rest, so a check that fails there costs a pointed query.
 
 `CertainAgent(i, j)` is a box over the presence atom "t has at least one
 j-edge": it holds vacuously when i has no successors.  `PossibleAgent(i, j)`
@@ -84,7 +86,9 @@ def sat(model: KripkeModel, f: Formula, within: Optional[int] = None) -> int:
        a smaller need tests only its own states' rows.
 
     So a pointed query costs the states within the formula's modal depth
-    of the point, and a global one labels every state, as it must.
+    of the point.  A global query labels every state; the universal checks
+    ask their scope's least state alone first (`_least_failure`), so one
+    that fails there costs a pointed query.
     """
     idx = model.index
     full = idx.full
@@ -166,13 +170,27 @@ def holds_at(model: KripkeModel, state: StateId, f: Formula) -> bool:
     return bool(sat(model, f, 1 << k))
 
 
+def _least_failure(model: KripkeModel, f: Formula, within: int) -> int:
+    """The one-bit mask of the least state of `within` where `f` is false,
+    or 0 if `f` holds at every state of it.
+
+    The least state is asked alone first, a pointed query: where `f` is
+    false there, no other state is labelled.  Only then is the whole of
+    `within` labelled.  The first call checks the whole formula, so an
+    unknown symbol raises as it would from one `sat` over `within`."""
+    low = within & -within
+    if not sat(model, f, low):
+        return low
+    missed = within ^ sat(model, f, within)
+    return missed & -missed
+
+
 def holds_for_agent(model: KripkeModel, agent: Agent, f: Formula) -> bool:
     """Truth of `f` at every local state of `agent` (the agent-relative reading)."""
     model.require_agent(agent)
-    local = model.index.locals[agent]
-    return sat(model, f, local) == local
+    return not _least_failure(model, f, model.index.locals[agent])
 
 
 def holds_globally(model: KripkeModel, f: Formula) -> bool:
     """Truth of `f` at every state of the model."""
-    return sat(model, f) == model.index.full
+    return not _least_failure(model, f, model.index.full)

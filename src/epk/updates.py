@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .formulas import CertainAgent
 from .model import STAY, Agent, KripkeModel, ModelError, ModelIndex, StateId, Wiring, carrier
@@ -86,9 +86,21 @@ def _edge_diff(before: KripkeModel, after: KripkeModel):
         common = 0 if old is None or new is None else sum(
             (old[k] & carry(row)).bit_count()
             for k, row in zip(to_old, new) if k is not None and row)
-        n_old, n_new = (sum(map(int.bit_count, rows or ())) for rows in (old, new))
-        added[a], removed[a] = n_new - common, n_old - common
+        added[a], removed[a] = _edges(new) - common, _edges(old) - common
     return added, removed
+
+
+def _edges(rows: Optional[List[int]]) -> int:
+    """The number of edges in `rows`.  Where every row is one mask, as in a
+    newcomer's universal relation, that mask is popcounted once:
+    `list.count` compares by identity first, so finding one shared mask
+    costs a pointer test per row, not a popcount of |S| bits."""
+    if not rows:
+        return 0
+    first = rows[0]
+    if rows[-1] is first and rows.count(first) == len(rows):
+        return first.bit_count() * len(rows)
+    return sum(map(int.bit_count, rows))
 
 
 def _product(model: KripkeModel, tags: Tuple[Optional[str], ...],

@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +6,10 @@ from hypothesis import strategies as st
 
 import oracles
 from epk import (StateId, check_properties, classify_model, holds_globally, is_kd45, is_s5,
-                 parse, update_online)
+                 parse, sat, update_online)
 from epk.frames import PROPERTIES
 from epk.model import ModelError
-from helpers import figure2, random_local_kd45_model, random_sparse_model
+from helpers import best_time, figure2, random_local_kd45_model, random_sparse_model
 
 
 def S(name):
@@ -149,15 +148,6 @@ class TestAgainstDefinitions:
             assert getattr(rep, p) == (p not in expected)
 
 
-def _best_time(fn, k=3):
-    best = float("inf")
-    for _ in range(k):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class TestComplexity:
     def test_universal_relation_costs_a_constant_factor_of_building_it(self):
         # Each property is one mask test per distinct row and target, so
@@ -170,7 +160,7 @@ class TestComplexity:
         rel = build()
         rep = check_properties(rel, dom)
         assert all(getattr(rep, p) for p in PROPERTIES)
-        ratio = _best_time(lambda: check_properties(rel, dom)) / _best_time(build)
+        ratio = best_time(lambda: check_properties(rel, dom)) / best_time(build)
         assert ratio <= 20, f"check_properties took {ratio:.1f}x building the relation"
 
     def test_universal_block_costs_a_constant_factor_of_a_belief_query(self):
@@ -183,6 +173,6 @@ class TestComplexity:
         reports = classify_model(m, "global")
         assert is_s5(reports["j"]) and is_kd45(reports["j"])
         query = parse("B[j] p")
-        ratio = (_best_time(lambda: classify_model(m, "global"))
-                 / _best_time(lambda: holds_globally(m, query)))
+        ratio = (best_time(lambda: classify_model(m, "global"))
+                 / best_time(lambda: sat(m, query)))
         assert ratio <= 20, f"classify_model took {ratio:.1f}x a belief query"

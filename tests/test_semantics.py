@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,10 +6,11 @@ from hypothesis import strategies as st
 
 import oracles
 from epk import (KripkeModel, ModelError, StateId, holds_at, holds_for_agent,
-                 holds_globally, parse, presence_at, sat)
+                 holds_globally, parse, presence_at, sat, semantics)
 from epk.formulas import And, Believes, CertainAgent, Implies, Not, Or, PossibleAgent
 from epk.frames import check_properties
-from helpers import (figure2, random_formula, random_local_kd45_model,
+from epk.semantics import _least_failure
+from helpers import (best_time, figure2, random_formula, random_local_kd45_model,
                      random_sparse_model)
 
 
@@ -167,6 +167,29 @@ class TestHoldsGlobally:
     def test_everyone_reaches_g_via_f(self):
         assert holds_globally(figure2(), parse("C[f,g]")) is True
 
+    def test_unknown_symbol_errors_where_the_least_state_decides(self):
+        # p holds at state 1, so the conjunction is false there, and the
+        # check is decided before any state asks about zzz.
+        with pytest.raises(ModelError, match="unknown proposition: zzz"):
+            holds_globally(figure2(), parse("~p & zzz"))
+
+
+class TestLeastFailure:
+    @given(st.integers(0, 10**9), st.sampled_from(["none", "one", "some", "full", "locals"]))
+    @settings(max_examples=50, deadline=None)
+    def test_is_the_least_state_of_within_where_f_is_false(self, seed, scope):
+        rng = random.Random(seed)
+        m = random_sparse_model(rng, rng.randint(30, 50), max_degree=3)
+        f = random_formula(rng, m.agents, m.props, depth=3, extra_about=["zz"])
+        idx = m.index
+        n = len(idx.order)
+        within = {"none": 0, "one": 1 << rng.randrange(n), "some": rng.getrandbits(n),
+                  "full": idx.full, "locals": idx.locals[rng.choice(sorted(m.agents))]}[scope]
+        missed = within & ~sat(m, f)
+        least = next((1 << k for k, s in enumerate(idx.order)
+                      if within >> k & 1 and not oracles.eval_at(m, s, f)), 0)
+        assert _least_failure(m, f, within) == missed & -missed == least
+
 
 class TestProperties:
     def test_diamond_box_duality(self):
@@ -254,15 +277,6 @@ class TestLargerModels:
                 assert holds_for_agent(m, a, f) == oracles.eval_for_agent(m, a, f)
 
 
-def _best_time(fn, k=5):
-    best = float("inf")
-    for _ in range(k):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class TestComplexity:
     def test_agency_costs_a_constant_factor_of_belief(self):
         # C and P are a box and a diamond over a presence atom, so at a
@@ -273,8 +287,8 @@ class TestComplexity:
         m = random_sparse_model(random.Random(2000), 2000)
         belief, agency = (parse(f"({f}) | ~({f})") for f in ("B[a] B[b] p", "P[a,b] & C[b,c]"))
         assert holds_globally(m, belief) and holds_globally(m, agency)
-        ratio = (_best_time(lambda: holds_globally(m, agency))
-                 / _best_time(lambda: holds_globally(m, belief)))
+        ratio = (best_time(lambda: holds_globally(m, agency), k=5)
+                 / best_time(lambda: holds_globally(m, belief), k=5))
         assert ratio <= 5, f"C/P evaluation took {ratio:.1f}x belief-only evaluation"
 
     def test_pointed_queries_cost_the_states_they_need(self):
@@ -285,8 +299,27 @@ class TestComplexity:
         f = parse("B[a] B[b] B[c] (p | ~p)")
         point = m.index.order[0]
         assert holds_at(m, point, f) and holds_for_agent(m, "a", f) and holds_globally(m, f)
-        whole = _best_time(lambda: holds_globally(m, f), k=3)
+        whole = best_time(lambda: holds_globally(m, f), k=3)
         for scope, query in (("holds_at", lambda: holds_at(m, point, f)),
                              ("holds_for_agent", lambda: holds_for_agent(m, "a", f))):
-            ratio = _best_time(query, k=3) / whole
+            ratio = best_time(query, k=3) / whole
             assert ratio <= 0.1, f"{scope} took {ratio:.2f}x holds_globally"
+
+    def test_a_universal_check_asks_its_least_state_alone_first(self, monkeypatch):
+        # `B[a] p` is false at the least state, so one pointed query
+        # decides the check.  A tautology holds there, so the check goes
+        # on to label every state.
+        m = random_sparse_model(random.Random(3000), 3000)
+        asked = []
+        unwrapped = semantics.sat
+
+        def counted(model, f, within=None):
+            asked.append(within)
+            return unwrapped(model, f, within)
+
+        monkeypatch.setattr(semantics, "sat", counted)
+        assert holds_globally(m, parse("B[a] p")) is False
+        assert asked == [1]
+        asked.clear()
+        assert holds_globally(m, parse("p | ~p")) is True
+        assert asked == [1, m.index.full]
