@@ -7,10 +7,10 @@ agent's relation as successor rows (one bitmask per state over that
 numbering) and every set of states as a mask.  `KripkeModel(index)` is the
 one constructor.  `states`, `valuation`, `locals` and `relations` are views
 built from the index on first read; `model.relations[a]` is a read-only
-set of (s, t) edges over the rows, whose size is a popcount and whose
-membership test is a bit test.  `KripkeModel.build` is the one reader of
-state names and edges; loading, updates, pruning, frame checks and saving
-otherwise pass rows along.
+set of (s, t) edges over the rows, whose size is `edge_count` of the
+rows and whose membership test is a bit test.  `KripkeModel.build` is the
+one reader of state names and edges; loading, updates, pruning, frame
+checks and saving otherwise pass rows along.
 
 Models are immutable values: every operation returns a new model and never
 mutates its input.  They are compared by value and cannot be hashed.
@@ -155,6 +155,22 @@ def _step(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def edge_count(rows: List[int]) -> int:
+    """The number of edges in successor `rows`.  Where every non-empty row
+    is one mask, as in a newcomer's rows after either arrival update (a
+    lie leaves the act copies' rows empty), that mask is popcounted once.
+    The rows are counted only when the first and last non-empty rows are
+    one object, so other rows cost no more than their popcounts; and
+    `list.count` compares by identity first, so finding one shared mask
+    costs a pointer test per row, not a popcount of |S| bits."""
+    first = next(filter(None, rows), 0)
+    if first and first is next(filter(None, reversed(rows))):
+        empty = rows.count(0)
+        if rows.count(first) == len(rows) - empty:
+            return first.bit_count() * (len(rows) - empty)
+    return sum(map(int.bit_count, rows))
+
+
 def carrier(to: List[int]) -> Callable[[int], int]:
     """The map of masks from one numbering to another, where `to[k]` is the
     one-bit mask of state k's new number, or 0 for a state left out.
@@ -205,10 +221,14 @@ class ModelIndex:
         return {a: pack(row) for a, row in self.rows.items()}
 
     def mask(self, states: Iterable[StateId]) -> int:
-        """The bitmask of `states`."""
+        """The bitmask of `states`; the first that is not numbered here
+        raises `ModelError`."""
         bit, m = self.bit, 0
         for s in states:
-            m |= 1 << bit[s]
+            k = bit.get(s)
+            if k is None:
+                raise ModelError(f"unknown state: {s}")
+            m |= 1 << k
         return m
 
     def states_of(self, mask: int) -> FrozenSet[StateId]:
@@ -285,7 +305,7 @@ class Edges(Set):
     """One relation as a read-only set of (s, t) edges, read off successor
     rows over a numbering of states.
 
-    `len` is a popcount and `in` a bit test; iterating yields the edges in
+    `len` is `edge_count` and `in` a bit test; iterating yields the edges in
     sorted order, made as they are asked for.  Set operations with other
     sets return frozensets.
     """
@@ -296,7 +316,7 @@ class Edges(Set):
         self._order, self._bit, self._rows = order, bit, rows
 
     def __len__(self) -> int:
-        return sum(map(int.bit_count, self._rows))
+        return edge_count(self._rows)
 
     def __contains__(self, edge) -> bool:
         try:
@@ -493,14 +513,12 @@ def subjective_relation(model: KripkeModel, agent: Agent) -> Edges:
 def reachable_from(model: KripkeModel, seeds: Iterable[StateId],
                    agents: Iterable[Agent]) -> FrozenSet[StateId]:
     """Smallest superset of `seeds` closed under the given agents' edges."""
-    seeds = frozenset(seeds)
+    idx = model.index
+    seeds = idx.mask(seeds)  # an unknown state is reported before an unknown agent
     agents = frozenset(agents)
-    for s in seeds:
-        model.require_state(s)
     for a in agents:
         model.require_agent(a)
-    idx = model.index
-    return idx.states_of(idx.closure(idx.mask(seeds), agents))
+    return idx.states_of(idx.closure(seeds, agents))
 
 
 def prune_unreachable(model: KripkeModel, seeds: Iterable[StateId]) -> KripkeModel:
@@ -509,9 +527,6 @@ def prune_unreachable(model: KripkeModel, seeds: Iterable[StateId]) -> KripkeMod
     Fails if pruning would empty some agent's local-state set: that signals
     a mis-specified update, not a repairable condition.
     """
-    seeds = frozenset(seeds)
-    for s in seeds:
-        model.require_state(s)
     idx = model.index
     kept = idx.closure(idx.mask(seeds), model.agents)
     for a in sorted(model.agents):

@@ -3,7 +3,7 @@ the presence atom underlying the agency modalities.
 
 Evaluation is set-at-a-time (the labelling algorithm of Clarke, Emerson
 and Sistla): `sat` computes the set of states where each subformula holds,
-bottom-up, as a bitmask over the model's cached `ModelIndex`.  It is also
+bottom-up, as a bitmask over the model's index, `model.index`.  It is also
 demand-driven, like the local model checking of Stirling and Walker: each
 subformula is decided only where its truth is asked, at the states that
 the boxes above it reach from the states the query is about.  `holds_at`
@@ -15,7 +15,10 @@ labelling the rest, so a check that fails there costs a pointed query.
 
 `CertainAgent(i, j)` is a box over the presence atom "t has at least one
 j-edge": it holds vacuously when i has no successors.  `PossibleAgent(i, j)`
-is its diamond dual and is false with no successors.  The right index j of
+is its diamond dual and is false with no successors.  Only the diamond has a
+kernel: a box, `B[i] g` or `C[i,j]`, holds where no successor lies outside
+its operand, so it is labelled as the complement of the diamond of the
+operand's complement (box f = ~diamond ~f).  The right index j of
 either modality may name an agent not in the model: such an agent is simply
 absent everywhere, so formulas about departed agents remain evaluable.
 """
@@ -41,15 +44,6 @@ def presence_at(model: KripkeModel, j: Agent, state: StateId) -> bool:
 # 5000 states, a box on its need plus the need's image cost as much as the
 # pass at about a third of the states, a diamond at a half to two thirds.
 DENSE_SHARE = 1 / 3
-
-
-def _box(rows: List[int], mask: int, full: int, need: Optional[int]) -> int:
-    """The states of `need` (every state if None) all of whose successors
-    lie in `mask`."""
-    outside = full ^ mask
-    if need is None:
-        return pack(not row & outside for row in rows)
-    return sum(1 << k for k in positions(need) if not rows[k] & outside)
 
 
 def _diamond(rows: List[int], mask: int, need: Optional[int]) -> int:
@@ -81,9 +75,11 @@ def sat(model: KripkeModel, f: Formula, within: Optional[int] = None) -> int:
        needs `within`; `B[i] g` asks `g` at the i-successors of its own
        need, and a connective asks its operands at its own need.
     3. Children before parents, each node is labelled on its need only.  A
-       box or diamond whose need holds more than `DENSE_SHARE` of the
-       states tests every row at once (and asks its operand everywhere);
-       a smaller need tests only its own states' rows.
+       diamond whose need holds more than `DENSE_SHARE` of the states
+       tests every row at once (and asks its operand everywhere); a
+       smaller need tests only its own states' rows.  A box is the
+       diamond of its operand's complement, complemented and cut to the
+       need, with the same per-row work.
 
     So a pointed query costs the states within the formula's modal depth
     of the point.  A global query labels every state; the universal checks
@@ -153,21 +149,18 @@ def sat(model: KripkeModel, f: Formula, within: Optional[int] = None) -> int:
             m = (full ^ done[id(g.left)]) | done[id(g.right)]
         else:
             at = None if n.bit_count() > dense else n
-            if t is Believes:
-                m = _box(idx.rows[g.agent], done[id(g.sub)], full, at)
-            elif t is CertainAgent:
-                m = _box(idx.rows[g.agent], idx.present.get(g.about, 0), full, at)
-            else:
-                m = _diamond(idx.rows[g.agent], idx.present.get(g.about, 0), at)
+            inner = done[id(g.sub)] if t is Believes else idx.present.get(g.about, 0)
+            if t is PossibleAgent:
+                m = _diamond(idx.rows[g.agent], inner, at)
+            else:  # the box is the diamond's dual: no successor outside `inner`
+                m = ~_diamond(idx.rows[g.agent], full ^ inner, at)
         done[id(g)] = m & n
     return done[id(f)]
 
 
 def holds_at(model: KripkeModel, state: StateId, f: Formula) -> bool:
     """Truth of `f` at the pointed model (model, state)."""
-    if (k := model.index.bit.get(state)) is None:
-        raise ModelError(f"unknown state: {state}")
-    return bool(sat(model, f, 1 << k))
+    return bool(sat(model, f, 1 << model.require_state(state)))
 
 
 def _least_failure(model: KripkeModel, f: Formula, within: int) -> int:

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .formulas import CertainAgent
-from .model import STAY, Agent, KripkeModel, ModelError, ModelIndex, StateId, Wiring, carrier
+from .model import (STAY, Agent, KripkeModel, ModelError, ModelIndex, StateId, Wiring, carrier,
+                    edge_count)
 from .semantics import holds_for_agent
 
 UPDATE_KINDS = ("offline", "online", "lie_offline", "lie_online")
@@ -86,27 +87,14 @@ def _edge_diff(before: KripkeModel, after: KripkeModel):
         common = 0 if old is None or new is None else sum(
             (old[k] & carry(row)).bit_count()
             for k, row in zip(to_old, new) if k is not None and row)
-        added[a], removed[a] = _edges(new) - common, _edges(old) - common
+        added[a], removed[a] = edge_count(new or []) - common, edge_count(old or []) - common
     return added, removed
-
-
-def _edges(rows: Optional[List[int]]) -> int:
-    """The number of edges in `rows`.  Where every row is one mask, as in a
-    newcomer's universal relation, that mask is popcounted once:
-    `list.count` compares by identity first, so finding one shared mask
-    costs a pointer test per row, not a popcount of |S| bits."""
-    if not rows:
-        return 0
-    first = rows[0]
-    if rows[-1] is first and rows.count(first) == len(rows):
-        return first.bit_count() * len(rows)
-    return sum(map(int.bit_count, rows))
 
 
 def _product(model: KripkeModel, tags: Tuple[Optional[str], ...],
              wiring: Dict[Agent, Wiring],
              newcomer: Optional[Agent] = None,
-             new_locals: FrozenSet[StateId] = frozenset()) -> UpdateResult:
+             new_locals: Iterable[StateId] = ()) -> UpdateResult:
     """The product update of `model` with an action model of one event per
     tag (Baltag, Moss and Solecki 1998), pruned to the copies reachable
     from every agent's local states.  A lone event tagged None keeps the
@@ -117,7 +105,8 @@ def _product(model: KripkeModel, tags: Tuple[Optional[str], ...],
     nowhere where that is None.  A link never points to an earlier event.
     Agents left out of `wiring` are dropped.  A `newcomer` joins with the
     universal relation on the last event and `new_locals` as its local
-    states there.
+    states there: it must be absent from `model`, and its local states
+    known and not empty.
 
     Which copies survive is worked out on the input's masks, one event at
     a time: an event keeps the closure of its seeds under the agents that
@@ -127,9 +116,14 @@ def _product(model: KripkeModel, tags: Tuple[Optional[str], ...],
     """
     idx = model.index
     if newcomer is not None:  # joins the input, so its rows are carried as any agent's
+        if newcomer in idx.rows:
+            raise ModelError(f"agent already present: {newcomer}")
+        local = idx.mask(new_locals)
+        if not local:
+            raise ModelError(f"new agent {newcomer} needs a non-empty set of local states")
         last = len(tags) - 1
         idx = ModelIndex(idx.order, {**idx.rows, newcomer: [idx.full] * len(idx.order)},
-                         idx.valuation, {**idx.locals, newcomer: idx.mask(new_locals)}, idx.bit)
+                         idx.valuation, {**idx.locals, newcomer: local}, idx.bit)
         wiring = {**wiring, newcomer: (last, (None,) * last + (last,))}
     seeds = [0] * len(tags)
     for a, (home, _links) in wiring.items():
@@ -172,13 +166,6 @@ def update_online(model: KripkeModel, j: Agent,
     states.  j gets the universal (hence equivalence) relation over all
     states: every one of its rows is the full mask.  Nothing else changes
     and no state is removed."""
-    if j in model.agents:
-        raise ModelError(f"agent already present: {j}")
-    new_locals = frozenset(new_locals)
-    if not new_locals:
-        raise ModelError(f"new agent {j} needs a non-empty set of local states")
-    for s in new_locals:
-        model.require_state(s)
     return _product(model, (None,), dict.fromkeys(model.index.rows, STAY), j, new_locals)
 
 
@@ -213,12 +200,5 @@ def lie_online(model: KripkeModel, i: Agent, j: Agent,
     shifted replica.
     """
     model.require_agent(i)
-    if j in model.agents:
-        raise ModelError(f"agent already present: {j}")
-    new_locals = frozenset(new_locals)
-    if not new_locals:
-        raise ModelError(f"new agent {j} needs a non-empty set of local states")
-    for s in new_locals:
-        model.require_state(s)
     return _product(model, LIE, {**dict.fromkeys(model.index.rows, MISINFORMED), i: INFORMED},
                     j, new_locals)

@@ -172,3 +172,43 @@ def oracle_frame_witnesses(relation, domain):
         if first is not None:
             witnesses[name] = first
     return witnesses
+
+
+def oracle_product(model, tags, wiring, newcomer=None, new_locals=()):
+    """A product update with an action model of one event per tag, built
+    in full and pruned at the end.  Copy (s, e) is named s tagged
+    `tags[e]`, or s itself for a tag of None.  `wiring[a] = (home, links)`
+    puts agent a's local states in event `home` and each edge (s, t) out of
+    event e at ((s, e), (t, links[e])), or nowhere where that is None;
+    agents left out are dropped.  A `newcomer` gets the universal relation
+    on the last event and `new_locals` there.
+
+    Returns the pruned model, the copies pruned away, and the edges added
+    and removed per agent, as set differences of edges by name."""
+    def copy(s, e):
+        return s if tags[e] is None else s.tagged(tags[e])
+
+    events = range(len(tags))
+    states = {copy(s, e) for s in model.states for e in events}
+    relations, locs = {}, {}
+    for a, (home, links) in wiring.items():
+        relations[a] = {(copy(s, e), copy(t, links[e]))
+                        for (s, t) in model.relations[a]
+                        for e in events if links[e] is not None}
+        locs[a] = {copy(s, home) for s in model.locals[a]}
+    agents = set(wiring)
+    if newcomer is not None:
+        last = len(tags) - 1
+        block = [copy(s, last) for s in model.states]
+        relations[newcomer] = {(s, t) for s in block for t in block}
+        locs[newcomer] = {copy(s, last) for s in new_locals}
+        agents.add(newcomer)
+    valuation = {p: {copy(s, e) for s in sts for e in events}
+                 for p, sts in model.valuation.items()}
+    after = _pruned(states, agents, model.props, relations, valuation, locs)
+    added, removed = {}, {}
+    for a in model.agents | agents:
+        old = {(s.name, t.name) for (s, t) in model.relations.get(a, ())}
+        new = {(s.name, t.name) for (s, t) in after.relations.get(a, ())}
+        added[a], removed[a] = len(new - old), len(old - new)
+    return after, states - after.states, added, removed

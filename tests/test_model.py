@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epk import (KripkeModel, ModelError, StateId, holds_at, prune_unreachable,
-                 reachable_from, replicate_with_lineage, subjective_relation,
-                 successors)
+from epk import (KripkeModel, ModelError, StateId, holds_at, lie_online, parse,
+                 prune_unreachable, reachable_from, replicate_with_lineage,
+                 subjective_relation, successors, update_online)
 from epk.model import positions
-from helpers import figure2, random_formula, random_local_kd45_model
+from helpers import figure2, figure2_minus_g, random_formula, random_local_kd45_model
 
 
 def S(name):
@@ -259,3 +259,41 @@ class TestReplicate:
             f = random_formula(rng, m.agents, m.props, depth=3)
             for s in m.states:
                 assert holds_at(m, s, f) == holds_at(copy, s.tagged("act"), f)
+
+
+UNKNOWN = "unknown state: 9"
+EMPTY = "new agent g needs a non-empty set of local states"
+
+
+class TestRefusals:
+    # Each refusal names the first fault in a fixed order: an unknown state
+    # before an unknown agent or proposition, an unknown liar before a
+    # present newcomer, a present newcomer before its local states.
+    @pytest.mark.parametrize("call, message", [
+        (lambda: holds_at(figure2(), S("9"), parse("p")), UNKNOWN),
+        (lambda: holds_at(figure2(), S("9"), parse("zz & B[x] p")), UNKNOWN),
+        (lambda: reachable_from(figure2(), [S("9")], ["m"]), UNKNOWN),
+        (lambda: reachable_from(figure2(), [S("1"), S("9")], ["x"]), UNKNOWN),
+        (lambda: reachable_from(figure2(), [S("1")], ["x"]), "unknown agent: x"),
+        (lambda: prune_unreachable(figure2(), [S("1"), S("9")]), UNKNOWN),
+        (lambda: update_online(figure2_minus_g(), "g", [S("9")]), UNKNOWN),
+        (lambda: lie_online(figure2_minus_g(), "m", "g", [S("1"), S("9")]), UNKNOWN),
+        (lambda: update_online(figure2_minus_g(), "m", [S("1")]), "agent already present: m"),
+        (lambda: update_online(figure2_minus_g(), "m", []), "agent already present: m"),
+        (lambda: lie_online(figure2_minus_g(), "m", "f", [S("9")]), "agent already present: f"),
+        (lambda: lie_online(figure2_minus_g(), "m", "m", [S("1")]), "agent already present: m"),
+        (lambda: update_online(figure2_minus_g(), "g", []), EMPTY),
+        (lambda: update_online(figure2_minus_g(), "g", iter(())), EMPTY),
+        (lambda: lie_online(figure2_minus_g(), "m", "g", ()), EMPTY),
+        (lambda: lie_online(figure2_minus_g(), "x", "f", [S("1")]), "unknown agent: x"),
+        (lambda: lie_online(figure2_minus_g(), "x", "g", [S("9")]), "unknown agent: x"),
+    ], ids=["holds_at", "holds_at-before-symbols", "reachable_from",
+            "reachable_from-state-before-agent", "reachable_from-agent", "prune_unreachable",
+            "online-state", "lie_online-state", "online-present", "online-present-before-empty",
+            "lie_online-present", "lie_online-liar-as-newcomer", "online-empty",
+            "online-empty-iterator", "lie_online-empty", "lie_online-liar-before-present",
+            "lie_online-liar-before-state"])
+    def test_message(self, call, message):
+        with pytest.raises(ModelError) as caught:
+            call()
+        assert str(caught.value) == message
