@@ -22,7 +22,7 @@ import sys
 
 from . import frames, serialize
 from .formulas import ParseError, parse
-from .model import KripkeModel, ModelError, StateId
+from .model import KripkeModel, ModelError, StateId, edge_count
 from .semantics import holds_at, holds_for_agent, holds_globally
 from .updates import UpdateSpec, apply_update
 
@@ -142,13 +142,13 @@ def _cmd_update(model: KripkeModel, args, out) -> int:
 
 
 def _cmd_show(model: KripkeModel, out) -> int:
-    print(f"states ({len(model.index.order)}): "
-          + ", ".join(sorted(s.name for s in model.index.order)), file=out)
+    idx = model.index
+    print(f"states ({len(idx.order)}): " + ", ".join(sorted(s.name for s in idx.order)), file=out)
     print(f"agents ({len(model.agents)}): " + ", ".join(sorted(model.agents)), file=out)
     print(f"props ({len(model.props)}): " + ", ".join(sorted(model.props)), file=out)
     for a in sorted(model.agents):
-        loc = ", ".join(sorted(s.name for s in model.locals[a]))
-        print(f"  I({a}) = {{{loc}}}  |R({a})| = {len(model.relations[a])}", file=out)
+        loc = ", ".join(sorted(s.name for s in idx.states_of(idx.locals[a])))
+        print(f"  I({a}) = {{{loc}}}  |R({a})| = {edge_count(idx.rows[a])}", file=out)
     if model.meta:
         for k in sorted(model.meta):
             print(f"meta.{k}: {model.meta[k]}", file=out)

@@ -121,12 +121,9 @@ def classify_model(model: KripkeModel, mode: str = "global") -> Dict[Agent, Fram
     idx = model.index
     reports = {}
     for a in sorted(model.agents):
-        if mode == "global":
-            domain, states = idx.full, model.states
-        else:
-            # The closure holds every a-successor of its states.
-            domain = idx.closure(idx.locals[a], [a])
-            states = idx.states_of(domain)
+        # A local domain is a closure: it holds every a-successor of its states.
+        domain = idx.full if mode == "global" else idx.closure(idx.locals[a], [a])
+        states = model.states if domain == idx.full else idx.states_of(domain)
         reports[a] = _report(a, states, _witnesses(idx.order, idx.rows[a], domain))
     return reports
 

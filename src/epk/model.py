@@ -4,13 +4,15 @@ events, pruning, tagged replication) that the update operators use.
 
 A model is its `ModelIndex`: its states numbered in sorted order, every
 agent's relation as successor rows (one bitmask per state over that
-numbering) and every set of states as a mask.  `KripkeModel(index)` is the
-one constructor.  `states`, `valuation`, `locals` and `relations` are views
-built from the index on first read; `model.relations[a]` is a read-only
-set of (s, t) edges over the rows, whose size is `edge_count` of the
-rows and whose membership test is a bit test.  `KripkeModel.build` is the
-one reader of state names and edges; loading, updates, pruning, frame
-checks and saving otherwise pass rows along.
+numbering) and every set of states as a mask.  `KripkeModel(index, meta)`
+is the one constructor, with meta mapping strings to strings, and
+`KripkeModel.build` the one reader of state names and edges.  Inside the
+package a model is read through its index: loading, updates, pruning,
+frame checks, saving, DOT export and `show` pass rows and masks along.
+`valuation`, `locals` and `relations` are views for callers outside it,
+built on first read; `model.relations[a]` is a read-only set of (s, t)
+edges over the rows, whose size is `edge_count` of the rows and whose
+membership test is a bit test.
 
 Models are immutable values: every operation returns a new model and never
 mutates its input.  They are compared by value and cannot be hashed.
@@ -379,8 +381,8 @@ class KripkeModel:
     `relations` maps each agent to a lazy `Edges` view of its successor
     rows; `valuation` and `locals` map names to frozensets of states.
     These views, `states`, `agents` and `props` are built on first read.
-    Equality compares the index, not `meta`.  Models hold dicts, so
-    hashing is switched off.
+    `meta` maps strings to strings.  Equality compares the index, not
+    `meta`.  Models hold dicts, so hashing is switched off.
     """
 
     __hash__ = None
@@ -391,13 +393,17 @@ class KripkeModel:
     def __init__(self, index: ModelIndex, meta: Optional[Mapping[str, str]] = None):
         """The model whose states, relations, valuation and local states
         `index` holds; its agents are the keys of `index.rows` and its
-        propositions those of `index.valuation`.  Only names and local
-        states are checked: the masks are taken to lie within the states."""
+        propositions those of `index.valuation`.  Only names, local states
+        and meta are checked: the masks are taken to lie within the states."""
         check_symbols(index.rows, index.valuation, index.rows, index.valuation, index.locals)
         for a in index.rows:
             if not index.locals[a]:
                 raise ModelError(f"local states of agent {a} must be non-empty")
-        vars(self).update(index=index, meta=dict(meta or {}))
+        meta = {} if meta is None else meta
+        if not isinstance(meta, Mapping) or not all(
+                isinstance(k, str) and isinstance(v, str) for k, v in meta.items()):
+            raise ModelError("meta must map strings to strings")
+        vars(self).update(index=index, meta=dict(meta))
 
     @classmethod
     def build(cls, states, agents, props, relations, valuation, locals, meta=None):
@@ -479,7 +485,7 @@ class KripkeModel:
     def __repr__(self) -> str:
         return (f"KripkeModel(states={[s.name for s in self.index.order]}, "
                 f"agents={sorted(self.agents)}, props={sorted(self.props)}, "
-                f"edges={ {a: len(self.relations[a]) for a in sorted(self.agents)} })")
+                f"edges={ {a: edge_count(self.index.rows[a]) for a in sorted(self.agents)} })")
 
     def require_agent(self, agent: Agent) -> None:
         if agent not in self.index.rows:
@@ -487,10 +493,7 @@ class KripkeModel:
 
     def require_state(self, state: StateId) -> int:
         """The number of `state`, which must be one of the model's."""
-        k = self.index.bit.get(state)
-        if k is None:
-            raise ModelError(f"unknown state: {state}")
-        return k
+        return self.index.mask((state,)).bit_length() - 1
 
 
 def successors(model: KripkeModel, agent: Agent, state: StateId) -> FrozenSet[StateId]:

@@ -20,6 +20,10 @@ State names carry lineage inline: "3@act", "1@act@shift".  Saving always
 emits the canonical form (sorted keys, sorted lists), so a canonical
 document round-trips byte-identically.
 
+DOT export is written from the model's index as saving is: each state's
+quoted id is escaped once, labels come from the valuation and local-state
+masks, and each edge is read off a successor row.
+
 Files are written whole: the text goes to a new file beside the target,
 which then replaces it, so a failed save leaves the target as it was.
 """
@@ -32,9 +36,9 @@ import os
 import shutil
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .model import KripkeModel, ModelError, StateId, positions
+from .model import KripkeModel, ModelError, positions
 
 
 class DocumentError(ValueError):
@@ -231,8 +235,7 @@ def dumps_model(model: KripkeModel) -> str:
         "locals": _json_object({a: states(idx.locals[a]) for a in model.agents}, 1),
     }
     if model.meta:
-        # Meta is small and may hold any JSON value, so `json` writes it.
-        doc["meta"] = json.dumps(dict(model.meta), indent=2, sort_keys=True).replace("\n", "\n  ")
+        doc["meta"] = _json_object({k: _quote(v) for k, v in model.meta.items()}, 1)
     return _json_object(doc, 0) + "\n"
 
 
@@ -265,52 +268,43 @@ def save_model(model: KripkeModel, path: str) -> None:
     _write_atomically(path, dumps_model(model))
 
 
-def _dot_escape(text: str) -> str:
-    """`text` for the inside of a quoted DOT string: its backslashes and
-    double quotes escaped, so that no name can end the string early."""
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _dot_node(model: KripkeModel, s: StateId) -> str:
-    true_props = sorted(p for p in model.props if s in model.valuation[p])
-    owners = sorted(a for a in model.agents if s in model.locals[a])
-    label = [s.name]  # lines of the label, joined by DOT's "\n"
-    if true_props:
-        label.append(",".join(true_props))
-    if owners:
-        label.append("I(" + ",".join(owners) + ")")
-    attrs = ['label="' + "\\n".join(map(_dot_escape, label)) + '"']
-    if owners:
-        attrs.append("peripheries=2")
-        attrs.append("style=filled")
-        attrs.append('fillcolor="lightgrey"')
-    return f'  "{_dot_escape(s.name)}" [{", ".join(attrs)}];'
-
-
 def dumps_dot(model: KripkeModel) -> str:
-    lines: List[str] = ["digraph model {", "  rankdir=LR;", "  node [shape=circle];"]
+    """The Graphviz text of `model`, written from its index: the states in
+    sorted order, in one cluster per last lineage tag where there are
+    several, labelled from the valuation and local-state masks, then one
+    line per edge of each successor row.  Each state id is escaped once;
+    agent, proposition and tag names are tokens, which need no escaping."""
+    idx = model.index
+    # quoted, with backslashes and double quotes escaped: no name ends its string early
+    ids = ['"' + s.name.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in idx.order]
+    props, owners = [[] for _ in ids], [[] for _ in ids]  # each state's names, sorted
+    for marks, masks in ((props, idx.valuation), (owners, idx.locals)):
+        for name in sorted(masks):
+            for k in positions(masks[name]):
+                marks[k].append(name)
 
-    by_tag: Dict[str, List[StateId]] = {}
-    for s in sorted(model.states):
-        tag = s.lineage[-1] if s.lineage else ""
-        by_tag.setdefault(tag, []).append(s)
+    def node(k: int) -> str:
+        # the label's lines joined by DOT's "\n", the first the id without its closing quote
+        label = ids[k][:-1] + ("\\n" + ",".join(props[k]) if props[k] else "")
+        if not owners[k]:
+            return f'{ids[k]} [label={label}"];'
+        return (f'{ids[k]} [label={label}\\nI({",".join(owners[k])})", '
+                'peripheries=2, style=filled, fillcolor="lightgrey"];')
 
-    if len(by_tag) > 1:
-        for tag in sorted(by_tag):
-            name = tag or "orig"
-            lines.append(f"  subgraph cluster_{name} {{")
-            lines.append(f'    label="{_dot_escape(name)}";')
-            for s in by_tag[tag]:
-                lines.append("  " + _dot_node(model, s))
-            lines.append("  }")
-    else:
-        for s in sorted(model.states):
-            lines.append(_dot_node(model, s))
-
-    for a in sorted(model.agents):
-        for (s, t) in model.relations[a]:  # in sorted order
-            lines.append(f'  "{_dot_escape(s.name)}" -> "{_dot_escape(t.name)}"'
-                         f' [label="{_dot_escape(a)}"];')
+    by_tag: Dict[Tuple[str, ...], List[int]] = {}  # the last tag, or () for none
+    for k, s in enumerate(idx.order):
+        by_tag.setdefault(s.lineage[-1:], []).append(k)
+    lines = ["digraph model {", "  rankdir=LR;", "  node [shape=circle];"]
+    for tag in sorted(by_tag):
+        nodes = [node(k) for k in by_tag[tag]]
+        if len(by_tag) > 1:  # one cluster per tag
+            name = "".join(tag) or "orig"
+            nodes = [f"subgraph cluster_{name} {{", f'  label="{name}";',
+                     *("  " + x for x in nodes), "}"]
+        lines += ["  " + x for x in nodes]
+    for a in sorted(idx.rows):
+        lines += [f'  {ids[k]} -> {ids[t]} [label="{a}"];'
+                  for k, row in enumerate(idx.rows[a]) if row for t in positions(row)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

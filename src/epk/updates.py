@@ -19,17 +19,16 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .formulas import CertainAgent
-from .model import (STAY, Agent, KripkeModel, ModelError, ModelIndex, StateId, Wiring, carrier,
-                    edge_count)
+from .model import (LINEAGE_TAGS, STAY, Agent, KripkeModel, ModelError, ModelIndex, StateId,
+                    Wiring, carrier, edge_count)
 from .semantics import holds_for_agent
 
 UPDATE_KINDS = ("offline", "online", "lie_offline", "lie_online")
 
-# A lie has an "act" and a "shift" event.  Informed agents live in act and
-# keep their edges there; the misinformed live in shift, and their edges out
-# of act lead one way into it.  In shift everyone keeps their edges, except
-# the target of an offline lie, which has none there.
-LIE = ("act", "shift")
+# A lie has one event per lineage tag, "act" and "shift".  Informed agents
+# live in act and keep their edges there; the misinformed live in shift, and
+# their edges out of act lead one way into it.  In shift everyone keeps their
+# edges, except the target of an offline lie, which has none there.
 INFORMED: Wiring = (0, (0, 1))
 MISINFORMED: Wiring = (1, (1, 1))
 
@@ -186,8 +185,8 @@ def lie_offline(model: KripkeModel, i: Agent, j: Agent) -> UpdateResult:
                 f"lie_offline: C[{k},{j}] does not hold before the lie; "
                 "the informed agents' certainty of the target is not preserved",
                 stacklevel=2)
-    return _product(model, LIE, {**dict.fromkeys(model.index.rows, MISINFORMED),
-                                 i: INFORMED, j: (0, (0, None))})
+    return _product(model, LINEAGE_TAGS, {**dict.fromkeys(model.index.rows, MISINFORMED),
+                                          i: INFORMED, j: (0, (0, None))})
 
 
 def lie_online(model: KripkeModel, i: Agent, j: Agent,
@@ -200,5 +199,5 @@ def lie_online(model: KripkeModel, i: Agent, j: Agent,
     shifted replica.
     """
     model.require_agent(i)
-    return _product(model, LIE, {**dict.fromkeys(model.index.rows, MISINFORMED), i: INFORMED},
-                    j, new_locals)
+    return _product(model, LINEAGE_TAGS,
+                    {**dict.fromkeys(model.index.rows, MISINFORMED), i: INFORMED}, j, new_locals)

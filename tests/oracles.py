@@ -212,3 +212,51 @@ def oracle_product(model, tags, wiring, newcomer=None, new_locals=()):
         new = {(s.name, t.name) for (s, t) in after.relations.get(a, ())}
         added[a], removed[a] = len(new - old), len(old - new)
     return after, states - after.states, added, removed
+
+
+def _dot_escaped(text):
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _dot_quoted(text):
+    return '"' + _dot_escaped(text) + '"'
+
+
+def oracle_dot(model):
+    """The DOT text of `model`, written from its set views: states sorted
+    and grouped by their last lineage tag (one cluster per tag when there
+    is more than one), each labelled with its name, the propositions true
+    at it and the agents it is a local state of, then one line per edge
+    of each agent's relation.  Every quoted string is escaped."""
+    def node(s):
+        props = sorted(p for p in model.props if s in model.valuation[p])
+        owners = sorted(a for a in model.agents if s in model.locals[a])
+        label = [s.name]
+        if props:
+            label.append(",".join(props))
+        if owners:
+            label.append("I(" + ",".join(owners) + ")")
+        # the label's lines, each escaped, joined by DOT's two-character "\n"
+        attrs = ['label="' + "\\n".join(map(_dot_escaped, label)) + '"']
+        if owners:
+            attrs += ["peripheries=2", "style=filled", 'fillcolor="lightgrey"']
+        return f"{_dot_quoted(s.name)} [{', '.join(attrs)}];"
+
+    groups = {}
+    for s in sorted(model.states):
+        groups.setdefault(s.lineage[-1] if s.lineage else "orig", []).append(s)
+    lines = ["digraph model {", "  rankdir=LR;", "  node [shape=circle];"]
+    if len(groups) == 1:
+        lines += ["  " + node(s) for s in sorted(model.states)]
+    else:
+        for tag in sorted(groups, key=lambda t: "" if t == "orig" else t):
+            lines.append(f"  subgraph cluster_{tag} {{")
+            lines.append(f"    label={_dot_quoted(tag)};")
+            lines += ["    " + node(s) for s in groups[tag]]
+            lines.append("  }")
+    for a in sorted(model.agents):
+        for s, t in sorted(model.relations[a]):
+            lines.append(f"  {_dot_quoted(s.name)} -> {_dot_quoted(t.name)}"
+                         f" [label={_dot_quoted(a)}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from epk import (DocumentError, KripkeModel, StateId, cli, doc_to_model, dumps_model,
-                 holds_globally,
+from epk import (DocumentError, KripkeModel, StateId, cli, doc_to_model, dumps_dot,
+                 dumps_model, holds_globally,
                  lie_offline, lie_online, load_model, model_to_doc, parse,
                  prune_unreachable, replicate_with_lineage, sat, update_offline, update_online)
 from epk.model import Edges, ModelIndex, edge_count
@@ -187,6 +187,37 @@ class TestRoundTrip:
         text = json.dumps(maps, indent=2, sort_keys=True) + "\n"
         assert doc_to_model(pairs) == doc_to_model(maps) == m
         assert dumps_model(doc_to_model(pairs)) == dumps_model(doc_to_model(maps)) == text
+
+
+class TestDot:
+    """`dumps_dot` writes the text `oracles.oracle_dot` builds from the set
+    views: clusters, labels, edges and escaping alike."""
+
+    @pytest.mark.parametrize("name", ["figure2", "figure2_minus_g", "cube3", "gruffalo"])
+    def test_fixtures_and_their_lies(self, name):
+        m = load_model(fixture_path(name))
+        lied = lie_online(m, sorted(m.agents)[0], "z", {sorted(m.states)[-1]}).model
+        for model in (m, lied):
+            assert dumps_dot(model) == oracles.oracle_dot(model)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_lineage_models_and_their_lies(self, seed):
+        rng = random.Random(seed)
+        m = lineage_model(rng)
+        liar = rng.choice(sorted(m.agents))
+        lied = lie_online(m, liar, "z", set(rng.sample(sorted(m.states), 2))).model
+        for model in (m, lied):
+            assert dumps_dot(model) == oracles.oracle_dot(model)
+
+    def test_hostile_names(self):
+        names = ['a"b', "c\\", '\\"', "d", "tab\t", "new\nline"]
+        m = KripkeModel.build(states=names, agents=["i"], props=["p"],
+                              relations={"i": {'a"b': ["c\\"], "c\\": ['\\"', "d", "new\nline"]}},
+                              valuation={"p": ['a"b', "tab\t"]}, locals={"i": ["c\\", "new\nline"]})
+        assert dumps_dot(m) == oracles.oracle_dot(m)
+        lied = lie_online(m, "i", "z", {S("d")}).model
+        assert dumps_dot(lied) == oracles.oracle_dot(lied)
 
 
 class TestUpdatesOnLineageNames:
@@ -391,12 +422,18 @@ class TestComplexity:
 
 class TestNoEdgeObjects:
     def test_cli_never_iterates_an_edge_view(self, tmp_path, monkeypatch):
-        # Loading, updating, checking, validating and saving pass rows
-        # along; any edge set made on the way would iterate a view.
+        # Loading, updating, checking, validating, saving, DOT export and
+        # `show` pass rows along; any edge set made on the way would
+        # iterate a view, and no command reads the set views at all.
         def refuse(self):
             raise AssertionError("an edge view was iterated")
 
         monkeypatch.setattr(Edges, "__iter__", refuse)
+        for view in ("relations", "valuation", "locals"):
+            def read(self, view=view):
+                raise AssertionError(f"the {view} view was read")
+
+            monkeypatch.setattr(KripkeModel, view, property(read))
         src = fixture_path("figure2_minus_g")
         steps = [
             [src, "update", "lie-online", "--liar", "m", "--new", "g", "--locals", "3",
@@ -412,6 +449,7 @@ class TestNoEdgeObjects:
             [str(tmp_path / "2.json"), "check", "--agent", "f", "B[f] C[f,g]"],
             [str(tmp_path / "2.json"), "check", "--state", "1@shift", "P[m,h]"],
             [str(tmp_path / "2.json"), "show"],
+            [str(tmp_path / "2.json"), "export-dot", "-o", str(tmp_path / "2.dot")],
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

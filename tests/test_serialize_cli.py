@@ -7,6 +7,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -213,7 +214,8 @@ class TestDocuments:
     @settings(max_examples=100, deadline=None)
     def test_dumps_writes_the_bytes_of_json_dumps(self, seed):
         # Names that sort differently as names and as states, that need
-        # escaping, or that are not ASCII; empty lists; meta of any JSON.
+        # escaping, or that are not ASCII; empty lists; meta whose keys
+        # and values need escaping and whose keys need sorting.
         rng = random.Random(seed)
         pool = ["1", "10", "2", "1 x", "a!", 'q"t', "back\\slash", "tab\t", "\u00e9",
                 "\u2603", "1@act", "10@shift", "2@act@shift"]
@@ -226,7 +228,8 @@ class TestDocuments:
                        for a in agents},
             valuation={p: [s for s in names if rng.random() < 0.5] for p in props},
             locals={a: rng.sample(names, rng.randint(1, len(names))) for a in agents},
-            meta=rng.choice([{}, {"name": "x\ny", "\u00fc": ""}, {"n": [1, {"b": None}], "e": {}}]))
+            meta=rng.choice([{}, {"name": "x\ny", "\u00fc": ""},
+                             {"z\\": 'say "hi"', "a": "tab\t\u2603", "Z": ""}]))
         expected = json.dumps(model_to_doc(model), indent=2, sort_keys=True) + "\n"
         assert dumps_model(model) == expected
 
@@ -244,6 +247,26 @@ class TestDocuments:
         loaded = doc_to_model(doc).index
         assert ((loaded.order, loaded.rows, loaded.valuation, loaded.locals)
                 == (built.order, built.rows, built.valuation, built.locals))
+
+    @pytest.mark.parametrize("meta", [{"n": 1}, {1: "x"}, {"n": None}, {"n": ["x"]}, ["n"], "n"],
+                             ids=["int-value", "int-key", "null", "list-value", "list", "str"])
+    def test_meta_must_map_strings_to_strings(self, meta):
+        with pytest.raises(ModelError, match="meta must map strings to strings"):
+            KripkeModel(figure2().index, meta)
+        with pytest.raises(ModelError, match="meta must map strings to strings"):
+            KripkeModel.build(states=["1"], agents=["i"], props=[], relations={"i": []},
+                              valuation={}, locals={"i": ["1"]}, meta=meta)
+
+    @given(st.dictionaries(st.text(max_size=6), st.text(max_size=6), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_string_meta_loads_back(self, meta):
+        m = KripkeModel(figure2().index, meta)
+        assert dumps_model(m) == json.dumps(model_to_doc(m), indent=2, sort_keys=True) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "m.json")
+            save_model(m, path)
+            again = load_model(path)
+        assert again == m and again.meta == meta
 
     def test_lineage_in_state_names(self, tmp_path):
         from epk import lie_online
@@ -472,6 +495,37 @@ class TestCli:
         code, out, _ = run_cli(fixture_path("figure2"), "show")
         assert code == 0
         assert "states (3)" in out and "I(m) = {1, 2}" in out
+
+    FIGURE2_META = (
+        "meta.description: Three agents m, f, g over states 1-3; m cannot distinguish 1 from 2"
+        " and is unaware of g, while f and g sit at state 3.\n"
+        "meta.name: figure2\n")
+
+    def test_show_text(self):
+        code, out, err = run_cli(fixture_path("figure2"), "show")
+        assert (code, err) == (0, "")
+        assert out == (
+            "states (3): 1, 2, 3\n"
+            "agents (3): f, g, m\n"
+            "props (1): p\n"
+            "  I(f) = {3}  |R(f)| = 3\n"
+            "  I(g) = {3}  |R(g)| = 1\n"
+            "  I(m) = {1, 2}  |R(m)| = 5\n" + self.FIGURE2_META)
+
+    def test_show_text_after_a_lie(self, tmp_path):
+        lied = str(tmp_path / "lied.json")
+        assert run_cli(fixture_path("figure2"), "update", "lie-online", "--liar", "m", "--new",
+                       "z", "--locals", "3", "-o", lied)[0] == 0
+        code, out, err = run_cli(lied, "show")
+        assert (code, err) == (0, "")
+        assert out == (
+            "states (5): 1@act, 1@shift, 2@act, 2@shift, 3@shift\n"
+            "agents (4): f, g, m, z\n"
+            "props (1): p\n"
+            "  I(f) = {3@shift}  |R(f)| = 5\n"
+            "  I(g) = {3@shift}  |R(g)| = 1\n"
+            "  I(m) = {1@act, 2@act}  |R(m)| = 9\n"
+            "  I(z) = {3@shift}  |R(z)| = 9\n" + self.FIGURE2_META)
 
     @pytest.mark.parametrize("depth", [5000, 5001])
     def test_long_negation_chain_answers_by_parity(self, depth):
