@@ -167,7 +167,9 @@ Formula = Union[Prop, Not, And, Or, Implies, Believes, CertainAgent, PossibleAge
 # Each open parenthesis costs the parser a few stack frames.
 MAX_PAREN_DEPTH = 100
 
-_TOKEN_RE = re.compile(r"\s*(->|[~&|()\[\],]|[A-Za-z_][A-Za-z0-9_]*)")
+# The name of an agent or a proposition, in a formula and in a model alike.
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN_RE = re.compile(rf"\s*(->|[~&|()\[\],]|{IDENT.pattern})")
 _NOT_NAMES = frozenset(["", "->", "~", "&", "|", "(", ")", "[", "]", ","])
 
 

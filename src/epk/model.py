@@ -28,6 +28,8 @@ from operator import attrgetter, itemgetter, or_
 from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
+from .formulas import IDENT
+
 Agent = str
 Prop = str
 
@@ -100,16 +102,27 @@ def sort_states(states: Iterable[StateId]) -> Tuple[StateId, ...]:
 
 
 def _check_token(name: str, what: str) -> str:
-    if not name or not all(c.isalnum() or c == "_" for c in name):
+    if not (isinstance(name, str) and IDENT.fullmatch(name)):
         raise ModelError(f"bad {what} name: {name!r}")
     return name
 
 
+def _once(items: Iterable, what: str) -> list:
+    """`items` as a list, refusing the first one listed twice."""
+    items = list(items)
+    if len(set(items)) < len(items):
+        seen = set()
+        twice = next(x for x in items if x in seen or seen.add(x))
+        raise ModelError(f"{what} {twice} is listed twice")
+    return items
+
+
 def check_symbols(agents: Iterable[Agent], props: Iterable[Prop], relations: Iterable[Agent],
                   valuation: Iterable[Prop], locals: Iterable[Agent]) -> None:
-    """Agent and proposition names are tokens, and `relations` and `locals`
-    have one entry per agent, `valuation` one per proposition (each given
-    by its keys)."""
+    """Agent and proposition names are identifiers of the formula grammar
+    (`formulas.IDENT`), so a formula can name each of them; `relations`
+    and `locals` have one entry per agent, `valuation` one per proposition
+    (each given by its keys)."""
     agents, props = set(agents), set(props)
     for a in agents:
         _check_token(a, "agent")
@@ -409,14 +422,16 @@ class KripkeModel:
     def build(cls, states, agents, props, relations, valuation, locals, meta=None):
         """The validated model of plain values.  States and every mention
         of one are names or `StateId`s; each relation is a mapping
-        {s: [t, ...]} or an iterable of (s, t) pairs.
+        {s: [t, ...]} or an iterable of (s, t) pairs.  A state, agent or
+        proposition listed twice is refused, not merged.
 
         Each state is parsed once and given its bit in the sorted
         numbering, and each source's targets are ORed into its row: no
         edge object is made."""
-        ids = {x: x if isinstance(x, StateId) else StateId.parse(x) for x in states}
-        check_symbols(agents, props, relations, valuation, locals)
-        order = sort_states(set(ids.values()))
+        ids = _once((x if isinstance(x, StateId) else StateId.parse(x) for x in states), "state")
+        check_symbols(_once(agents, "agent"), _once(props, "proposition"),
+                      relations, valuation, locals)
+        order = sort_states(ids)
         bit = dict(zip(order, range(len(order))))
         one = {}
         for s, k in bit.items():

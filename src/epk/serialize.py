@@ -24,8 +24,11 @@ DOT export is written from the model's index as saving is: each state's
 quoted id is escaped once, labels come from the valuation and local-state
 masks, and each edge is read off a successor row.
 
-Files are written whole: the text goes to a new file beside the target,
-which then replaces it, so a failed save leaves the target as it was.
+Files are written piece by piece, at most one source row at a time, so a
+save holds about one row of text, not the document.  The pieces go to a
+new file beside the target, which then replaces it, so a failed save
+leaves the target as it was.  `dumps_model` and `dumps_dot` join the
+same pieces.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import os
 import shutil
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .model import KripkeModel, ModelError, positions
 
@@ -169,26 +172,42 @@ def load_model(path: str) -> KripkeModel:
         raise DocumentError(f"{path}: {e}") from e
 
 
-def _json_block(items: List[str], depth: int, brackets: str = "[]") -> str:
-    """A JSON array (or, with brackets "{}", object) of already encoded
-    items, laid out as `json.dumps` lays it out with `indent=2` at nesting
-    depth `depth`."""
+def _json_block(items: List[str], depth: int) -> str:
+    """A JSON array of already encoded items, laid out as `json.dumps` lays
+    it out with `indent=2` at nesting depth `depth`."""
     if not items:
-        return brackets
+        return "[]"
     pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json_members(members: Iterable[Tuple[str, Union[str, Iterator[str]]]],
+                  depth: int) -> Iterator[str]:
+    """A JSON object laid out as `json.dumps` lays it out with `indent=2`,
+    made one member at a time: each member is its encoded key and its
+    encoded value, whole or as an iterator of pieces, which are passed on
+    as they come."""
+    pad = "\n" + "  " * (depth + 1)
+    empty, sep = True, "{" + pad
+    for key, value in members:
+        if type(value) is str:
+            yield f"{sep}{key}: {value}"
+        else:
+            yield f"{sep}{key}: "
+            yield from value
+        empty, sep = False, "," + pad
+    yield "{}" if empty else "\n" + "  " * depth + "}"
 
 
 def _json_object(values: Dict[str, str], depth: int) -> str:
     """A JSON object of already encoded values, its keys sorted."""
-    return _json_block([f"{_quote(k)}: {values[k]}" for k in sorted(values)], depth, "{}")
+    return "".join(_json_members(((_quote(k), values[k]) for k in sorted(values)), depth))
 
 
-def dumps_model(model: KripkeModel) -> str:
-    """The canonical document of `model`: exactly the text of
-    `json.dumps(model_to_doc(model), indent=2, sort_keys=True)` plus a
-    newline, written without the pure-Python encoder `json` falls back
-    to when `indent` is set.
+def _model_pieces(model: KripkeModel) -> Iterator[str]:
+    """The canonical document of `model` in pieces of at most one source
+    row's text: every field but the relations is one piece, and each
+    relation is written a row at a time.
 
     Names sort differently from states ("10" < "1@act", but state 1@act
     comes first), so the states are ranked by name once and each name is
@@ -212,40 +231,49 @@ def dumps_model(model: KripkeModel) -> str:
     def states(mask: int) -> str:
         return _json_block([quoted[r] for r in ranked(mask)], 2)
 
-    keys = [q + ": " for q in quoted]
     targets: Dict[int, str] = {}  # a row's target list, at depth 3
 
-    def successors(rows: List[int]) -> str:
-        parts = []
+    def successors(rows: List[int]) -> Iterator[Tuple[str, str]]:
         for r, k in enumerate(by_rank):
             row = rows[k]
             if row:
                 text = targets.get(row)
                 if text is None:
                     text = targets[row] = _json_block([quoted[t] for t in ranked(row)], 3)
-                parts.append(keys[r] + text)
-        return _json_block(parts, 2, "{}")
+                yield quoted[r], text
 
-    doc = {
+    relations = ((_quote(a), _json_members(successors(idx.rows[a]), 2))
+                 for a in sorted(model.agents))
+    fields = {
         "states": _json_block(quoted, 1),
         "agents": _json_block([_quote(a) for a in sorted(model.agents)], 1),
         "props": _json_block([_quote(p) for p in sorted(model.props)], 1),
-        "relations": _json_object({a: successors(idx.rows[a]) for a in model.agents}, 1),
+        "relations": _json_members(relations, 1),
         "valuation": _json_object({p: states(idx.valuation[p]) for p in model.props}, 1),
         "locals": _json_object({a: states(idx.locals[a]) for a in model.agents}, 1),
     }
     if model.meta:
-        doc["meta"] = _json_object({k: _quote(v) for k, v in model.meta.items()}, 1)
-    return _json_object(doc, 0) + "\n"
+        fields["meta"] = _json_object({k: _quote(v) for k, v in model.meta.items()}, 1)
+    yield from _json_members(((_quote(k), fields[k]) for k in sorted(fields)), 0)
+    yield "\n"
 
 
-def _write_atomically(path: str, text: str) -> None:
-    """Replace the file at `path` with `text`.
+def dumps_model(model: KripkeModel) -> str:
+    """The canonical document of `model`: exactly the text of
+    `json.dumps(model_to_doc(model), indent=2, sort_keys=True)` plus a
+    newline, written without the pure-Python encoder `json` falls back
+    to when `indent` is set."""
+    return "".join(_model_pieces(model))
+
+
+def _write_atomically(path: str, pieces: Iterable[str]) -> None:
+    """Replace the file at `path` with the text `pieces` make, written as
+    they come.
 
     The text goes to a new file in the same directory, which then takes
     the place of `path` in one `os.replace`, so `path` never holds a part
-    of the text.  If anything fails, `path` is left as it was and the new
-    file is removed.
+    of the text.  If anything fails, making the pieces included, `path`
+    is left as it was and the new file is removed.
     """
     target = os.path.realpath(path)  # through a symlink, not over it
     directory, name = os.path.split(target)
@@ -253,7 +281,7 @@ def _write_atomically(path: str, text: str) -> None:
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         if os.path.exists(target):
             shutil.copymode(target, tmp)
         os.replace(tmp, target)
@@ -265,15 +293,16 @@ def _write_atomically(path: str, text: str) -> None:
 
 
 def save_model(model: KripkeModel, path: str) -> None:
-    _write_atomically(path, dumps_model(model))
+    _write_atomically(path, _model_pieces(model))
 
 
-def dumps_dot(model: KripkeModel) -> str:
+def _dot_pieces(model: KripkeModel) -> Iterator[str]:
     """The Graphviz text of `model`, written from its index: the states in
     sorted order, in one cluster per last lineage tag where there are
-    several, labelled from the valuation and local-state masks, then one
-    line per edge of each successor row.  Each state id is escaped once;
-    agent, proposition and tag names are tokens, which need no escaping."""
+    several, labelled from the valuation and local-state masks, then the
+    edges of each successor row, one piece per row.  Each state id is
+    escaped once; agent, proposition and tag names are tokens, which need
+    no escaping."""
     idx = model.index
     # quoted, with backslashes and double quotes escaped: no name ends its string early
     ids = ['"' + s.name.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in idx.order]
@@ -294,20 +323,27 @@ def dumps_dot(model: KripkeModel) -> str:
     by_tag: Dict[Tuple[str, ...], List[int]] = {}  # the last tag, or () for none
     for k, s in enumerate(idx.order):
         by_tag.setdefault(s.lineage[-1:], []).append(k)
-    lines = ["digraph model {", "  rankdir=LR;", "  node [shape=circle];"]
+    yield "digraph model {\n  rankdir=LR;\n  node [shape=circle];\n"
     for tag in sorted(by_tag):
         nodes = [node(k) for k in by_tag[tag]]
         if len(by_tag) > 1:  # one cluster per tag
             name = "".join(tag) or "orig"
             nodes = [f"subgraph cluster_{name} {{", f'  label="{name}";',
                      *("  " + x for x in nodes), "}"]
-        lines += ["  " + x for x in nodes]
+        yield "".join(f"  {x}\n" for x in nodes)
     for a in sorted(idx.rows):
-        lines += [f'  {ids[k]} -> {ids[t]} [label="{a}"];'
-                  for k, row in enumerate(idx.rows[a]) if row for t in positions(row)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        end = f' [label="{a}"];\n'
+        for k, row in enumerate(idx.rows[a]):
+            if row:
+                edge = f"  {ids[k]} -> "
+                yield edge + (end + edge).join([ids[t] for t in positions(row)]) + end
+    yield "}\n"
+
+
+def dumps_dot(model: KripkeModel) -> str:
+    """The Graphviz text of `model`; see `_dot_pieces`."""
+    return "".join(_dot_pieces(model))
 
 
 def export_dot(model: KripkeModel, path: str) -> None:
-    _write_atomically(path, dumps_dot(model))
+    _write_atomically(path, _dot_pieces(model))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from epk import (KripkeModel, ModelError, StateId, holds_at, lie_online, parse,
                  prune_unreachable, reachable_from, replicate_with_lineage,
                  subjective_relation, successors, update_online)
+from epk.formulas import Believes, CertainAgent, PossibleAgent, Prop
 from epk.model import positions
 from helpers import figure2, figure2_minus_g, random_formula, random_local_kd45_model
 
@@ -133,6 +134,25 @@ class TestValidation:
             KripkeModel.build(states=["1"], agents=["a", "b"], props=[],
                               relations={"a": []}, valuation={},
                               locals={"a": ["1"], "b": ["1"]})
+
+
+class TestNames:
+    NAMES = (st.text(alphabet="abBCPz_09é١²ſK -[]~", max_size=5)
+             | st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True))
+
+    @given(NAMES, NAMES)
+    @settings(max_examples=300, deadline=None)
+    def test_every_name_a_model_admits_a_formula_can_spell(self, agent, prop):
+        try:
+            KripkeModel.build(states=["1"], agents=[agent], props=[prop], relations={agent: []},
+                              valuation={prop: []}, locals={agent: ["1"]})
+        except ModelError as e:
+            assert str(e).startswith("bad ")
+            return
+        assert parse(f"B[{agent}] {prop}") == Believes(agent, Prop(prop))
+        assert parse(f"C[{agent},{agent}]") == CertainAgent(agent, agent)
+        assert parse(f"P[{agent},{agent}]") == PossibleAgent(agent, agent)
+        assert parse(prop) == Prop(prop)
 
 
 class TestSuccessors:

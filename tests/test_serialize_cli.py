@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 
 from epk import (DocumentError, KripkeModel, ModelError, StateId, doc_to_model, dumps_dot,
                  dumps_model, export_dot, load_model, model_to_doc, save_model,
-                 serialize)
+                 serialize, update_online)
 from epk import cli
 from epk.cli import main
-from helpers import figure2, fixture_path
+from helpers import figure2, fixture_path, random_sparse_model
 
 
 def S(name):
@@ -43,7 +44,9 @@ def shaped_documents(draw):
     fields now and then miss an agent or a proposition."""
     now_and_then = st.sampled_from([False] * 9 + [True])
     states = draw(st.lists(st.sampled_from(["1", "2", "3", "1@act", "2@shift", "3@act@shift"] * 4
-                                           + ["1@bogus"]), max_size=6))
+                                           + ["1@bogus"]), max_size=6, unique=True))
+    if states and draw(now_and_then):
+        states.append(states[0])  # listed twice
     named = st.sampled_from(states * 8 + ["9"])
     agents = draw(st.lists(st.sampled_from(["a", "b", "c"] * 4 + ["c d"]), min_size=1,
                            max_size=3, unique=True))
@@ -248,6 +251,45 @@ class TestDocuments:
         assert ((loaded.order, loaded.rows, loaded.valuation, loaded.locals)
                 == (built.order, built.rows, built.valuation, built.locals))
 
+    @pytest.mark.parametrize("key, names, message", [
+        ("states", ["1", "2", "1@act", "2", "1"], "state 2 is listed twice"),
+        ("agents", ["i", "j", "i"], "agent i is listed twice"),
+        ("props", ["p", "q", "q", "p"], "proposition q is listed twice"),
+    ])
+    def test_a_name_listed_twice_is_refused(self, tmp_path, key, names, message):
+        doc = {"states": ["1", "2", "1@act"], "agents": ["i", "j"], "props": ["p", "q"],
+               "relations": {"i": {"1": ["2"]}, "j": {}}, "valuation": {"p": ["1"], "q": []},
+               "locals": {"i": ["1"], "j": ["2"]}, key: names}
+        with pytest.raises(ModelError) as refused:
+            KripkeModel.build(**doc)
+        assert str(refused.value) == message
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DocumentError) as refused:
+            load_model(str(path))
+        assert str(refused.value) == f"{path}: {message}"
+
+    def test_a_state_listed_twice_exits_2(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**json.loads(Path(fixture_path("figure2")).read_text()),
+                                    "states": ["1", "1", "2"]}))
+        code, out, err = run_cli(str(path), "show")
+        assert (code, out) == (2, "")
+        assert err.startswith("epk: error:") and "state 1 is listed twice" in err
+
+    @pytest.mark.parametrize("key, name", [("agents", "1"), ("agents", "é"), ("props", "2p"),
+                                           ("props", "p-q"), ("props", "ſ")])
+    def test_names_no_formula_can_spell_are_refused(self, tmp_path, key, name):
+        # No formula can spell these names, so no `check` could ask about them.
+        agent, prop = (name, "p") if key == "agents" else ("i", name)
+        doc = {"states": ["1"], "agents": [agent], "props": [prop], "relations": {agent: {}},
+               "valuation": {prop: ["1"]}, "locals": {agent: ["1"]}}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        what = "agent" if key == "agents" else "proposition"
+        with pytest.raises(DocumentError, match=f"bad {what} name"):
+            load_model(str(path))
+
     @pytest.mark.parametrize("meta", [{"n": 1}, {1: "x"}, {"n": None}, {"n": ["x"]}, ["n"], "n"],
                              ids=["int-value", "int-key", "null", "list-value", "list", "str"])
     def test_meta_must_map_strings_to_strings(self, meta):
@@ -295,7 +337,7 @@ class TestAtomicWrites:
         def broken(model):
             raise RuntimeError("serializer failed")
 
-        monkeypatch.setattr(serialize, "dumps_model", broken)
+        monkeypatch.setattr(serialize, "_model_pieces", broken)
         with pytest.raises(RuntimeError, match="serializer failed"):
             main([str(src), "update", "offline", "g", "--in-place"],
                  out=io.StringIO(), err=io.StringIO())
@@ -310,6 +352,29 @@ class TestAtomicWrites:
         monkeypatch.setattr(serialize.os, "replace", _refuse)
         with pytest.raises(DocumentError, match="Permission denied"):
             write(figure2(), str(target))
+        assert target.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out"]
+
+    @pytest.mark.parametrize("write, pieces", [(save_model, "_model_pieces"),
+                                               (export_dot, "_dot_pieces")], ids=["model", "dot"])
+    def test_failure_midway_leaves_target_and_no_temporary(self, tmp_path, monkeypatch, write,
+                                                           pieces):
+        target = tmp_path / "out"
+        target.write_text("old")
+        written = getattr(serialize, pieces)
+        during = []
+
+        def failing(model):
+            text = written(model)
+            yield next(text)
+            yield "x" * 100_000  # more than a write buffer: the temporary file has text
+            during.extend(os.listdir(tmp_path))
+            raise RuntimeError("stopped midway")
+
+        monkeypatch.setattr(serialize, pieces, failing)
+        with pytest.raises(RuntimeError, match="stopped midway"):
+            write(figure2(), str(target))
+        assert len(during) == 2
         assert target.read_text() == "old"
         assert os.listdir(tmp_path) == ["out"]
 
@@ -341,6 +406,30 @@ class TestAtomicWrites:
     def test_missing_directory_is_a_document_error(self, tmp_path):
         with pytest.raises(DocumentError, match="No such file"):
             save_model(figure2(), str(tmp_path / "nowhere" / "m.json"))
+
+
+class TestStreamedWrites:
+    """A save or DOT export writes its text a source row at a time, so it
+    holds about one row of text, not the document: after an arrival, whose
+    newcomer has the universal relation, the document is |S|² names."""
+
+    @pytest.fixture(scope="class")
+    def arrived(self):
+        m = random_sparse_model(random.Random(1), 1000)
+        return update_online(m, "z", {sorted(m.states)[0]}).model
+
+    @pytest.mark.parametrize("write, dumps", [(save_model, dumps_model), (export_dot, dumps_dot)],
+                             ids=["model", "dot"])
+    def test_peak_memory_is_about_one_row(self, tmp_path, arrived, write, dumps):
+        path = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            write(arrived, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert path.read_bytes() == dumps(arrived).encode()
 
 
 class TestDot:
