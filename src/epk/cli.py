@@ -10,7 +10,9 @@
     epk MODEL show
 
 Exit status: 0 on success, 1 when a --expect check disagrees (or a required
-validation fails), 2 on any error.
+validation fails), 2 on any error, and 141 when standard output is closed
+before everything is written to it (as a shell reports a process that
+SIGPIPE ended), with nothing written to standard error.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 
 from . import frames, serialize
@@ -161,7 +164,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
+def _run(argv, out, err) -> int:
     # argparse prints help to sys.stdout and usage errors to sys.stderr,
     # then exits; here both go to the streams given, and the exit status
     # (0 after --help, 2 after a usage error) is returned.
@@ -185,7 +188,32 @@ def main(argv=None, out=sys.stdout, err=sys.stderr) -> int:
         return _cmd_show(model, out)
     except (ModelError, ParseError, serialize.DocumentError) as e:
         print(f"epk: error: {e}", file=err)
-        return 2
+    except MemoryError:
+        print("epk: error: out of memory", file=err)
+    return 2
+
+
+def main(argv=None, out=None, err=None) -> int:
+    """Run the command line `argv` (default: `sys.argv[1:]`), writing to
+    `out` and `err` (default: the `sys.stdout` and `sys.stderr` of the
+    moment), and return its exit status."""
+    out = sys.stdout if out is None else out
+    err = sys.stderr if err is None else err
+    try:
+        status = _run(argv, out, err)
+        out.flush()  # so that a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # Whoever read `out` has gone, as after `epk ... | head`: stop
+        # quietly, with the status 128 + SIGPIPE of a process that SIGPIPE
+        # ended.  The text left in the stream's buffer goes to the null
+        # device, so flushing it at exit raises nothing either.
+        with contextlib.suppress(AttributeError, OSError):
+            fd = out.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
+        return 141
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ import os
 import shutil
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .model import KripkeModel, ModelError, positions
 
@@ -181,33 +181,20 @@ def _json_block(items: List[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
-def _json_members(members: Iterable[Tuple[str, Union[str, Iterator[str]]]],
-                  depth: int) -> Iterator[str]:
-    """A JSON object laid out as `json.dumps` lays it out with `indent=2`,
-    made one member at a time: each member is its encoded key and its
-    encoded value, whole or as an iterator of pieces, which are passed on
-    as they come."""
-    pad = "\n" + "  " * (depth + 1)
-    empty, sep = True, "{" + pad
-    for key, value in members:
-        if type(value) is str:
-            yield f"{sep}{key}: {value}"
-        else:
-            yield f"{sep}{key}: "
-            yield from value
-        empty, sep = False, "," + pad
-    yield "{}" if empty else "\n" + "  " * depth + "}"
-
-
 def _json_object(values: Dict[str, str], depth: int) -> str:
-    """A JSON object of already encoded values, its keys sorted."""
-    return "".join(_json_members(((_quote(k), values[k]) for k in sorted(values)), depth))
+    """A JSON object of already encoded values, its keys sorted, laid out
+    as `json.dumps` lays it out with `indent=2` at nesting depth `depth`."""
+    if not values:
+        return "{}"
+    pad = "\n" + "  " * (depth + 1)
+    return ("{" + pad + ("," + pad).join(f"{_quote(k)}: {values[k]}" for k in sorted(values))
+            + "\n" + "  " * depth + "}")
 
 
 def _model_pieces(model: KripkeModel) -> Iterator[str]:
     """The canonical document of `model` in pieces of at most one source
-    row's text: every field but the relations is one piece, and each
-    relation is written a row at a time.
+    row's text: its fields in key order, every field but the relations
+    one piece, and each relation a source row at a time.
 
     Names sort differently from states ("10" < "1@act", but state 1@act
     comes first), so the states are ranked by name once and each name is
@@ -224,38 +211,33 @@ def _model_pieces(model: KripkeModel) -> Iterator[str]:
     for r, k in enumerate(by_rank):
         rank[k] = r
     quoted = [_quote(names[k]) for k in by_rank]
+    agents = sorted(model.agents)
 
-    def ranked(mask: int) -> List[int]:
-        return sorted(rank[k] for k in positions(mask))
+    def states(mask: int, depth: int = 2) -> str:
+        return _json_block([quoted[r] for r in sorted(rank[k] for k in positions(mask))], depth)
 
-    def states(mask: int) -> str:
-        return _json_block([quoted[r] for r in ranked(mask)], 2)
-
+    yield '{\n  "agents": ' + _json_block([_quote(a) for a in agents], 1)
+    yield ',\n  "locals": ' + _json_object({a: states(idx.locals[a]) for a in agents}, 1)
+    if model.meta:
+        yield ',\n  "meta": ' + _json_object({k: _quote(v) for k, v in model.meta.items()}, 1)
+    yield ',\n  "props": ' + _json_block([_quote(p) for p in sorted(model.props)], 1)
+    yield ',\n  "relations": {'
     targets: Dict[int, str] = {}  # a row's target list, at depth 3
-
-    def successors(rows: List[int]) -> Iterator[Tuple[str, str]]:
+    for i, a in enumerate(agents):
+        rows, sep = idx.rows[a], "\n      "
+        yield ("," if i else "") + "\n    " + _quote(a) + ": {"
         for r, k in enumerate(by_rank):
             row = rows[k]
             if row:
                 text = targets.get(row)
                 if text is None:
-                    text = targets[row] = _json_block([quoted[t] for t in ranked(row)], 3)
-                yield quoted[r], text
-
-    relations = ((_quote(a), _json_members(successors(idx.rows[a]), 2))
-                 for a in sorted(model.agents))
-    fields = {
-        "states": _json_block(quoted, 1),
-        "agents": _json_block([_quote(a) for a in sorted(model.agents)], 1),
-        "props": _json_block([_quote(p) for p in sorted(model.props)], 1),
-        "relations": _json_members(relations, 1),
-        "valuation": _json_object({p: states(idx.valuation[p]) for p in model.props}, 1),
-        "locals": _json_object({a: states(idx.locals[a]) for a in model.agents}, 1),
-    }
-    if model.meta:
-        fields["meta"] = _json_object({k: _quote(v) for k, v in model.meta.items()}, 1)
-    yield from _json_members(((_quote(k), fields[k]) for k in sorted(fields)), 0)
-    yield "\n"
+                    text = targets[row] = states(row, 3)
+                yield f"{sep}{quoted[r]}: {text}"
+                sep = ",\n      "
+        yield "\n    }" if sep[0] == "," else "}"
+    yield ("\n  }" if agents else "}") + ',\n  "states": ' + _json_block(quoted, 1)
+    yield (',\n  "valuation": '
+           + _json_object({p: states(idx.valuation[p]) for p in model.props}, 1) + "\n}\n")
 
 
 def dumps_model(model: KripkeModel) -> str:
@@ -278,7 +260,8 @@ def _write_atomically(path: str, pieces: Iterable[str]) -> None:
     target = os.path.realpath(path)  # through a symlink, not over it
     directory, name = os.path.split(target)
     # os.urandom, not the secrets module: importing that loads OpenSSL.
-    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    # The name is cut, so that it fits wherever the target's name fits.
+    tmp = os.path.join(directory, f".{name[:32]}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
             fh.writelines(pieces)
@@ -287,8 +270,8 @@ def _write_atomically(path: str, pieces: Iterable[str]) -> None:
         os.replace(tmp, target)
     except OSError as e:
         raise DocumentError(f"{path}: {e.strerror}") from e
-    finally:
-        with contextlib.suppress(FileNotFoundError):
+    finally:  # the new file is gone, or never was: its directory may not even be one
+        with contextlib.suppress(OSError):
             os.remove(tmp)
 
 

@@ -217,13 +217,14 @@ class TestDocuments:
     @settings(max_examples=100, deadline=None)
     def test_dumps_writes_the_bytes_of_json_dumps(self, seed):
         # Names that sort differently as names and as states, that need
-        # escaping, or that are not ASCII; empty lists; meta whose keys
-        # and values need escaping and whose keys need sorting.
+        # escaping, or that are not ASCII; empty lists; now and then no
+        # agents, or no states (and so no agents); meta whose keys and
+        # values need escaping and whose keys need sorting.
         rng = random.Random(seed)
         pool = ["1", "10", "2", "1 x", "a!", 'q"t', "back\\slash", "tab\t", "\u00e9",
                 "\u2603", "1@act", "10@shift", "2@act@shift"]
-        names = rng.sample(pool, rng.randint(1, len(pool)))
-        agents = rng.sample(["a", "b", "c_1"], rng.randint(1, 3))
+        names = rng.sample(pool, rng.randint(0, len(pool)))
+        agents = rng.sample(["a", "b", "c_1"], rng.randint(0, 3) if names else 0)
         props = rng.sample(["p", "q"], rng.randint(0, 2))
         model = KripkeModel.build(
             states=names, agents=agents, props=props,
@@ -406,6 +407,18 @@ class TestAtomicWrites:
     def test_missing_directory_is_a_document_error(self, tmp_path):
         with pytest.raises(DocumentError, match="No such file"):
             save_model(figure2(), str(tmp_path / "nowhere" / "m.json"))
+
+    def test_output_under_a_file_is_a_document_error(self, tmp_path):
+        (tmp_path / "afile").write_text("")
+        with pytest.raises(DocumentError, match="Not a directory"):
+            save_model(figure2(), str(tmp_path / "afile" / "m.json"))
+
+    @pytest.mark.parametrize("write", [save_model, export_dot], ids=["model", "dot"])
+    @pytest.mark.parametrize("char", ["x", "\U0001F600"], ids=["ascii", "four-byte"])
+    def test_the_longest_file_name_is_written(self, tmp_path, write, char):
+        name = char * (os.pathconf(tmp_path, "PC_NAME_MAX") // len(char.encode()))
+        write(figure2(), str(tmp_path / name))
+        assert os.listdir(tmp_path) == [name]
 
 
 class TestStreamedWrites:
