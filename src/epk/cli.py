@@ -10,9 +10,11 @@
     epk MODEL show
 
 Exit status: 0 on success, 1 when a --expect check disagrees (or a required
-validation fails), 2 on any error, and 141 when standard output is closed
+validation fails), 2 on any error, 141 when standard output is closed
 before everything is written to it (as a shell reports a process that
-SIGPIPE ended), with nothing written to standard error.
+SIGPIPE ended) and 130 when Ctrl-C stops the command (as SIGINT would), the
+last two with nothing written to standard error.  A warning the library
+raises is written to standard error as one `epk: warning:` line.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import contextlib
 import functools
 import os
 import sys
+import warnings
 
 from . import frames, serialize
 from .formulas import ParseError, parse
@@ -30,9 +33,18 @@ from .semantics import holds_at, holds_for_agent, holds_globally
 from .updates import UpdateSpec, apply_update
 
 
+class _Parser(argparse.ArgumentParser):
+    """An `ArgumentParser` that lets the errors of writing its help and
+    usage text through, where argparse drops them: a closed standard output
+    ends `--help` as it ends any command.  Subparsers share the class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="epk",
-                                 description="Epistemic Kripke model workbench")
+    ap = _Parser(prog="epk", description="Epistemic Kripke model workbench")
     ap.add_argument("model", help="path to a model document (JSON)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -137,6 +149,7 @@ def _cmd_update(model: KripkeModel, args, out) -> int:
         add, rem = result.added_edges.get(a, 0), result.removed_edges.get(a, 0)
         if add or rem:
             print(f"  edges[{a}]: +{add} -{rem}", file=out)
+    out.flush()  # the summary comes before a document written to standard output
     if args.in_place:
         serialize.save_model(result.model, args.model)
     if args.output:
@@ -200,9 +213,13 @@ def main(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     try:
-        status = _run(argv, out, err)
+        with warnings.catch_warnings():  # the filters in force still apply
+            warnings.showwarning = lambda message, *_: print(f"epk: warning: {message}", file=err)
+            status = _run(argv, out, err)
         out.flush()  # so that a closed stdout fails here, not at exit
         return status
+    except KeyboardInterrupt:  # Ctrl-C: stop quietly, with the status 128 + SIGINT
+        return 130
     except BrokenPipeError:
         # Whoever read `out` has gone, as after `epk ... | head`: stop
         # quietly, with the status 128 + SIGPIPE of a process that SIGPIPE

@@ -265,32 +265,25 @@ class ModelIndex:
         one event per tag: the one renumbering of states.
 
         Copy e of state k is kept iff bit k of `kept[e]` is set, and is
-        named `order[k]` tagged `tags[e]`, or `order[k]` itself for a lone
-        event tagged None.  `agents[a] = (home, links)` puts a's local
-        states in event `home`, and its edges out of event e into event
-        `links[e]`, or nowhere where that is None.  The kept copies must
-        hold every edge so placed: each row is carried whole.
+        named `order[k]` tagged `tags[e]`, or `order[k]` itself in an event
+        tagged None.  `agents[a] = (home, links)` puts a's local states in
+        event `home`, and its edges out of event e into event `links[e]`,
+        or nowhere where that is None.  The kept copies must hold every
+        edge so placed: each row is carried whole.
 
-        The copies are numbered in sorted order and each event's rows are
-        carried by one `carrier`, so each distinct row is carried once.
-        Copies in the input's numbering share its rows and masks, and its
-        `bit` too when the names are unchanged."""
+        A lone event tagged None that keeps every state shares the input's
+        numbering, masks and staying rows.  Otherwise the copies are
+        numbered in sorted order and each event's rows are carried by one
+        `carrier`, so each distinct row is carried once."""
         order, n = self.order, len(self.order)
-        if tags == (None,):  # the names, and so their order, are unchanged
-            copies = None if kept[0] == self.full else [(order[k], k, 0)
-                                                        for k in positions(kept[0])]
-        else:
-            copies = sorted([(order[k].tagged(tag), k, e) for e, tag in enumerate(tags)
-                             for k in positions(kept[e])], key=lambda c: state_key(c[0]))
-            if len(tags) == 1 and [k for _s, k, _e in copies] == list(range(n)):
-                order, copies = tuple(c[0] for c in copies), None
-        if copies is None:  # one event holding every state, in the input's numbering
+        if tags == (None,) and kept[0] == self.full:
             rows = {a: self.rows[a] if links == (0,) else [0] * n
                     for a, (_home, links) in agents.items()}
-            if order is self.order and rows == self.rows:
-                return self
             return ModelIndex(order, rows, self.valuation, {a: self.locals[a] for a in agents},
-                              self.bit if order is self.order else None)
+                              self.bit)
+        copies = sorted([(order[k] if tag is None else order[k].tagged(tag), k, e)
+                         for e, tag in enumerate(tags) for k in positions(kept[e])],
+                        key=lambda c: state_key(c[0]))
         to = [[0] * n for _ in tags]
         for pos, (_s, k, e) in enumerate(copies):
             to[e][k] = 1 << pos

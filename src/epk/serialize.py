@@ -37,6 +37,7 @@ import contextlib
 import json
 import os
 import shutil
+import stat
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
@@ -255,20 +256,39 @@ def _write_atomically(path: str, pieces: Iterable[str]) -> None:
     The text goes to a new file in the same directory, which then takes
     the place of `path` in one `os.replace`, so `path` never holds a part
     of the text.  If anything fails, making the pieces included, `path`
-    is left as it was and the new file is removed.
+    is left as it was and the new file is removed.  A `path` that is there
+    but is not a regular file, such as a pipe, is not replaced: the text is
+    written into it.  Nor is the file standard output is, whatever it is
+    (`/dev/stdout`, say): the text is written to standard output, after
+    what is already there.  Any failure is a `DocumentError`, but for a
+    broken pipe on standard output, which stays a `BrokenPipeError`.
     """
+    try:
+        st = os.stat(path)
+    except OSError:  # a new file, or a path that fails below
+        st = None
+    try:
+        to_stdout = st is not None and os.path.samestat(st, os.fstat(1))
+    except OSError:  # descriptor 1 is closed
+        to_stdout = False
+    in_place = to_stdout or (st is not None and not stat.S_ISREG(st.st_mode))
     target = os.path.realpath(path)  # through a symlink, not over it
     directory, name = os.path.split(target)
     # os.urandom, not the secrets module: importing that loads OpenSSL.
     # The name is cut, so that it fits wherever the target's name fits.
     tmp = os.path.join(directory, f".{name[:32]}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        # Through a copy of descriptor 1, the text follows what was written there.
+        with open(os.dup(1) if to_stdout else path if in_place else tmp,
+                  "w" if in_place else "x", encoding="utf-8") as fh:
             fh.writelines(pieces)
-        if os.path.exists(target):
-            shutil.copymode(target, tmp)
-        os.replace(tmp, target)
+        if not in_place:
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
     except OSError as e:
+        if to_stdout and isinstance(e, BrokenPipeError):
+            raise  # standard output's reader has gone, as after `epk ... | head`
         raise DocumentError(f"{path}: {e.strerror}") from e
     finally:  # the new file is gone, or never was: its directory may not even be one
         with contextlib.suppress(OSError):

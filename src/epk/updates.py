@@ -68,8 +68,8 @@ def _edge_diff(before: KripkeModel, after: KripkeModel):
     models have are counted by carrying `after`'s rows into `before`'s
     numbering, which states only `after` has drop out of.  When both
     models share one numbering the rows compare as they are, and only
-    then is a row list both share unchanged: a replica shares its input's
-    rows under new names."""
+    then is a row list both share unchanged: under new names the same
+    list holds other edges."""
     old_idx, new_idx = before.index, after.index
     same = new_idx.order is old_idx.order
     if same:

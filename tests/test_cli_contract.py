@@ -1,7 +1,7 @@
 """The command line's failure contract.  Every subcommand meets every
 failure class that applies to it with exit status 2 and exactly one
 `epk: error:` line; a closed standard output ends a command with status
-141 and nothing on standard error."""
+141, and Ctrl-C with status 130, both with nothing on standard error."""
 
 import argparse
 import contextlib
@@ -124,14 +124,15 @@ def test_the_table_has_every_subcommand():
 
 
 @pytest.mark.parametrize("command, buffered", [
-    *((cmd, True) for cmd in COMMANDS), ("show", False), ("update lie-online", False)])
+    *((cmd, True) for cmd in COMMANDS), ("show", False), ("update lie-online", False),
+    ("--help", True), ("--help", False)])
 def test_closed_stdout_exits_141_and_writes_nothing_to_stderr(tmp_path, command, buffered):
     src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    argv = [a.format(tmp=str(tmp_path)) for a in COMMANDS[command]]
+    argv = [a.format(tmp=str(tmp_path)) for a in COMMANDS.get(command, [command])]
     read, write = os.pipe()
     os.close(read)  # the reader has gone before the child writes
     try:
@@ -149,3 +150,24 @@ def test_main_writes_to_the_streams_of_the_moment():
         assert cli.main([fixture_path("figure2"), "check", "--global", "p"]) == 0
         assert cli.main([fixture_path("figure2"), "check", "--agent", "zz", "p"]) == 2
     assert (out.getvalue(), err.getvalue()) == ("false\n", "epk: error: unknown agent: zz\n")
+
+
+def interrupted(cls, *args, **kwargs):
+    raise KeyboardInterrupt
+
+
+def test_ctrl_c_exits_130_and_writes_nothing_to_stderr(monkeypatch):
+    monkeypatch.setattr(KripkeModel, "build", classmethod(interrupted))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main([fixture_path("figure2"), "show"], out=out, err=err) == 130
+    assert err.getvalue() == ""
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_a_library_warning_is_one_line_on_stderr():
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main([fixture_path("figure2"), "update", "lie-offline", "--liar", "m",
+                     "--target", "g"], out=out, err=err)
+    assert (code, err.getvalue()) == (
+        0, "epk: warning: lie_offline: C[m,g] does not hold before the lie; the informed "
+           "agents' certainty of the target is not preserved\n")

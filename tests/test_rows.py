@@ -420,6 +420,18 @@ class TestComplexity:
         assert ratio <= 5, f"refusing the repeated key took {ratio:.1f}x reading the object"
 
 
+    def test_unchanged_rows_are_shared_not_copied(self):
+        # An arrival keeps every old row, so it costs O(|S|) only if those
+        # rows, and the numbering, are shared rather than carried.
+        m = random_sparse_model(random.Random(5), 200)
+        idx = m.index
+        on = update_online(m, "z", [idx.order[0]]).model.index
+        assert on.bit is idx.bit
+        assert all(on.rows[a] is idx.rows[a] for a in idx.rows)
+        pruned = prune_unreachable(m, idx.order).index
+        assert all(pruned.rows[a] is idx.rows[a] for a in idx.rows)
+
+
 class TestNoEdgeObjects:
     def test_cli_never_iterates_an_edge_view(self, tmp_path, monkeypatch):
         # Loading, updating, checking, validating, saving, DOT export and

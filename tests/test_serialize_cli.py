@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epk import (DocumentError, KripkeModel, ModelError, StateId, doc_to_model, dumps_dot,
-                 dumps_model, export_dot, load_model, model_to_doc, save_model,
+                 dumps_model, export_dot, lie_online, load_model, model_to_doc, save_model,
                  serialize, update_online)
 from epk import cli
 from epk.cli import main
@@ -412,6 +412,96 @@ class TestAtomicWrites:
         (tmp_path / "afile").write_text("")
         with pytest.raises(DocumentError, match="Not a directory"):
             save_model(figure2(), str(tmp_path / "afile" / "m.json"))
+
+    def test_interrupted_in_place_update_leaves_input_and_no_temporary(self, tmp_path,
+                                                                       monkeypatch):
+        src = self._copy_of_figure2(tmp_path)
+        before = src.read_bytes()
+        written = serialize._model_pieces
+
+        def interrupted(model):
+            yield next(written(model))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(serialize, "_model_pieces", interrupted)
+        assert run_cli(str(src), "update", "offline", "g", "--in-place")[::2] == (130, "")
+        assert src.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.json"]
+
+    # A lie-online on figure2_minus_g, and the document it writes.
+    LIE = [fixture_path("figure2_minus_g"), "update", "lie-online", "--liar", "m", "--new", "g",
+           "--locals", "3"]
+
+    @staticmethod
+    def _lie_document():
+        lied = lie_online(load_model(fixture_path("figure2_minus_g")), "m", "g", [S("3")])
+        return dumps_model(lied.model)
+
+    def test_a_fifo_is_written_into_not_replaced(self, tmp_path):
+        # The document is far smaller than a pipe's buffer, and the read end
+        # is open before the command starts, so the write never blocks.
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        read = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, _, err = run_cli(*self.LIE, "-o", str(fifo))
+            got = os.read(read, 1 << 16)
+        finally:
+            os.close(read)
+        assert (code, err) == (0, "")
+        assert got == self._lie_document().encode()
+        assert stat.S_ISFIFO(fifo.stat().st_mode) and os.listdir(tmp_path) == ["out"]
+
+    def test_a_fifo_whose_reader_has_gone_is_an_error(self, tmp_path, monkeypatch):
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        read = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        written = serialize._model_pieces
+
+        def reader_leaves(model):
+            os.close(read)  # the command has opened the fifo by now
+            yield from written(model)
+
+        monkeypatch.setattr(serialize, "_model_pieces", reader_leaves)
+        code, out, err = run_cli(*self.LIE, "-o", str(fifo))
+        assert (code, err) == (2, f"epk: error: {fifo}: Broken pipe\n")
+        assert out.startswith("update lie-online (g): ")
+
+    def test_output_to_dev_stdout_follows_the_summary(self, tmp_path):
+        summary = run_cli(*self.LIE)[1]
+        done = self._to_dev_stdout(tmp_path, subprocess.PIPE)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == summary + self._lie_document()
+
+    def test_output_to_dev_stdout_appends_to_the_file_stdout_is(self, tmp_path):
+        log = tmp_path / "log"
+        log.write_text("before\n")
+        inode = log.stat().st_ino
+        with open(log, "a") as fh:
+            done = self._to_dev_stdout(tmp_path, fh)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert log.stat().st_ino == inode
+        assert log.read_text() == "before\n" + run_cli(*self.LIE)[1] + self._lie_document()
+        assert sorted(os.listdir(tmp_path)) == ["log"]
+
+    def test_output_to_a_closed_dev_stdout_exits_141(self, tmp_path):
+        # export-dot writes its line after the rendering, so the rendering is
+        # the first text that meets the closed pipe.
+        read, write = os.pipe()
+        os.close(read)  # the reader has gone before the child writes
+        try:
+            done = self._to_dev_stdout(tmp_path, write, [fixture_path("figure2"), "export-dot"])
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, "")
+
+    def _to_dev_stdout(self, tmp_path, stdout, argv=LIE):
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "epk", *argv, "-o", "/dev/stdout"],
+                              cwd=tmp_path, env=env, stdout=stdout, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
 
     @pytest.mark.parametrize("write", [save_model, export_dot], ids=["model", "dot"])
     @pytest.mark.parametrize("char", ["x", "\U0001F600"], ids=["ascii", "four-byte"])
