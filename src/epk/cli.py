@@ -201,6 +201,8 @@ def _run(argv, out, err) -> int:
         return _cmd_show(model, out)
     except (ModelError, ParseError, serialize.DocumentError) as e:
         print(f"epk: error: {e}", file=err)
+    except UnicodeEncodeError as e:  # an output whose encoding cannot hold a name
+        print(f"epk: error: cannot write {e.object[e.start]!a} in {e.encoding}", file=err)
     except MemoryError:
         print("epk: error: out of memory", file=err)
     return 2

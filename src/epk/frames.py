@@ -9,17 +9,16 @@ globally non-serial relations, and frequently do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
-from .model import (Agent, Edge, KripkeModel, ModelError, StateId, positions, read_rows,
-                    sort_states)
+from .model import Agent, Edge, KripkeModel, ModelError, StateId, positions, read_rows
 
 PROPERTIES = ("reflexive", "symmetric", "serial", "transitive", "euclidean")
 
 
-@dataclass(frozen=True)
-class FramePropertyReport:
+class FramePropertyReport(NamedTuple):
     agent: Agent
     domain: FrozenSet[StateId]
     reflexive: bool
@@ -28,7 +27,7 @@ class FramePropertyReport:
     transitive: bool
     euclidean: bool
     # one counterexample tuple per failed property
-    witnesses: Dict[str, Tuple[StateId, ...]] = field(default_factory=dict)
+    witnesses: Mapping[str, Tuple[StateId, ...]] = MappingProxyType({})
 
 
 def _witnesses(order, rows: List[int], domain: int) -> Dict[str, Tuple[StateId, ...]]:
@@ -105,7 +104,7 @@ def check_properties(relation: Iterable[Edge], domain: Iterable[StateId],
     `classify_model` takes straight from the model.
     """
     domain = frozenset(domain)
-    order = sort_states(domain)
+    order = tuple(sorted(domain))
     try:
         rows = read_rows(relation, {s: 1 << k for k, s in enumerate(order)}, len(order), {})
     except KeyError as e:

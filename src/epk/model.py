@@ -21,10 +21,9 @@ mutates its input.  They are compared by value and cannot be hashed.
 from __future__ import annotations
 
 from collections.abc import Mapping, Set
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, count, groupby
-from operator import attrgetter, itemgetter, or_
+from operator import itemgetter, or_
 from types import MappingProxyType
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
@@ -40,36 +39,33 @@ class ModelError(ValueError):
     """Raised when a model invariant is violated or an unknown entity is named."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class StateId:
-    """A state name plus the sequence of replica tags that produced it.
+class StateId(tuple):
+    """A state: its base name plus the sequence of replica tags that
+    produced it, held as the pair `(base, lineage)`.
 
     Original states have an empty lineage; each untruthful update appends
-    one tag ("act" or "shift").
-
-    Every set and dict of states hashes them, so the hash,
-    `hash((base, lineage))`, is computed once, when the state is built.
-    String hashes are salted per process, so pickling and copying rebuild
-    the state through `__init__` instead of carrying the cached value over.
+    one tag ("act" or "shift").  Hash, equality and order are the pair's,
+    done in C: states sort by base, then lineage, and a state equals the
+    plain pair, `StateId("1") == ("1", ())`.  Pickling and copying build
+    the state again through `__new__`, which checks it.
     """
 
-    base: str
-    lineage: Tuple[str, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.base or "@" in self.base:
-            raise ModelError(f"bad state base name: {self.base!r}")
-        for tag in self.lineage:
+    def __new__(cls, base: str, lineage: Iterable[str] = ()) -> "StateId":
+        lineage = tuple(lineage)  # a list would make a state that cannot be hashed
+        if not base or "@" in base:
+            raise ModelError(f"bad state base name: {base!r}")
+        for tag in lineage:
             if tag not in LINEAGE_TAGS:
                 raise ModelError(f"bad lineage tag: {tag!r}")
-        object.__setattr__(self, "_hash", hash((self.base, self.lineage)))
+        return tuple.__new__(cls, (base, lineage))
 
-    def __hash__(self) -> int:
-        return self._hash
+    base = property(itemgetter(0))
+    lineage = property(itemgetter(1))
 
-    def __reduce__(self):
-        return (type(self), (self.base, self.lineage))
+    def __reduce__(self):  # at every pickle protocol, through `__new__`
+        return type(self), tuple(self)
 
     def tagged(self, tag: str) -> "StateId":
         return StateId(self.base, self.lineage + (tag,))
@@ -81,7 +77,7 @@ class StateId:
     @classmethod
     def parse(cls, name: str) -> "StateId":
         parts = name.split("@")
-        return cls(parts[0], tuple(parts[1:]))
+        return cls(parts[0], parts[1:])
 
     def __str__(self) -> str:
         return self.name
@@ -91,14 +87,6 @@ class StateId:
 
 
 Edge = Tuple[StateId, StateId]
-
-# The sort key of a state: the order of `StateId`, compared in C.
-state_key = attrgetter("base", "lineage")
-
-
-def sort_states(states: Iterable[StateId]) -> Tuple[StateId, ...]:
-    """`states` in sorted order, the numbering of every model's masks."""
-    return tuple(sorted(states, key=state_key))
 
 
 def _check_token(name: str, what: str) -> str:
@@ -283,7 +271,7 @@ class ModelIndex:
                               self.bit)
         copies = sorted([(order[k] if tag is None else order[k].tagged(tag), k, e)
                          for e, tag in enumerate(tags) for k in positions(kept[e])],
-                        key=lambda c: state_key(c[0]))
+                        key=itemgetter(0))
         to = [[0] * n for _ in tags]
         for pos, (_s, k, e) in enumerate(copies):
             to[e][k] = 1 << pos
@@ -424,7 +412,7 @@ class KripkeModel:
         ids = _once((x if isinstance(x, StateId) else StateId.parse(x) for x in states), "state")
         check_symbols(_once(agents, "agent"), _once(props, "proposition"),
                       relations, valuation, locals)
-        order = sort_states(ids)
+        order = tuple(sorted(ids))
         bit = dict(zip(order, range(len(order))))
         one = {}
         for s, k in bit.items():

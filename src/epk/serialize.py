@@ -36,7 +36,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import shutil
 import stat
 from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
@@ -137,6 +136,11 @@ def doc_to_model(doc: dict) -> KripkeModel:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):
         raise DocumentError("meta must be a JSON object of strings")
+    for where, texts in (("states", states), ("meta", [*meta, *meta.values()])):
+        try:  # JSON's \ud800 escape makes a lone surrogate, which no UTF-8 output can hold
+            "".join(texts).encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise DocumentError(f"{where} must be valid Unicode, not {e.object[e.start]!a}") from e
     try:
         return KripkeModel.build(states, agents, props, relations, valuation, locals_, meta)
     except (ModelError, TypeError) as e:  # TypeError: a name that cannot be hashed
@@ -283,8 +287,8 @@ def _write_atomically(path: str, pieces: Iterable[str]) -> None:
                   "w" if in_place else "x", encoding="utf-8") as fh:
             fh.writelines(pieces)
         if not in_place:
-            if os.path.exists(target):
-                shutil.copymode(target, tmp)
+            if st is not None:  # the new file keeps the mode of the one it replaces
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
             os.replace(tmp, target)
     except OSError as e:
         if to_stdout and isinstance(e, BrokenPipeError):

@@ -15,8 +15,8 @@ states, and the event that its edges out of each event lead into.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 from .formulas import CertainAgent
 from .model import (LINEAGE_TAGS, STAY, Agent, KripkeModel, ModelError, ModelIndex, StateId,
@@ -33,28 +33,34 @@ INFORMED: Wiring = (0, (0, 1))
 MISINFORMED: Wiring = (1, (1, 1))
 
 
-@dataclass(frozen=True)
-class UpdateSpec:
-    """Parameters of one ontological update."""
+class UpdateSpec(tuple):
+    """Parameters of one ontological update, `(kind, target, liar,
+    new_locals)`: checked however it is built, pickles and copies too."""
 
-    kind: str
-    target: Agent
-    liar: Optional[Agent] = None
-    new_locals: Optional[FrozenSet[StateId]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in UPDATE_KINDS:
-            raise ModelError(f"unknown update kind: {self.kind}")
-        needs_liar = self.kind in ("lie_offline", "lie_online")
-        if needs_liar != (self.liar is not None):
-            raise ModelError(f"update {self.kind}: liar {'required' if needs_liar else 'not allowed'}")
-        needs_locals = self.kind in ("online", "lie_online")
-        if needs_locals != (self.new_locals is not None):
-            raise ModelError(f"update {self.kind}: new_locals {'required' if needs_locals else 'not allowed'}")
+    def __new__(cls, kind: str, target: Agent, liar: Optional[Agent] = None,
+                new_locals: Optional[FrozenSet[StateId]] = None) -> "UpdateSpec":
+        if kind not in UPDATE_KINDS:
+            raise ModelError(f"unknown update kind: {kind}")
+        needs_liar = kind in ("lie_offline", "lie_online")
+        if needs_liar != (liar is not None):
+            raise ModelError(f"update {kind}: liar {'required' if needs_liar else 'not allowed'}")
+        needs_locals = kind in ("online", "lie_online")
+        if needs_locals != (new_locals is not None):
+            raise ModelError(f"update {kind}: new_locals {'required' if needs_locals else 'not allowed'}")
+        return tuple.__new__(cls, (kind, target, liar, new_locals))
+
+    kind, target, liar, new_locals = (property(itemgetter(k)) for k in range(4))
+
+    def __reduce__(self):  # at every pickle protocol, through `__new__`
+        return type(self), tuple(self)
+
+    def __repr__(self) -> str:
+        return "UpdateSpec(kind={!r}, target={!r}, liar={!r}, new_locals={!r})".format(*self)
 
 
-@dataclass(frozen=True)
-class UpdateResult:
+class UpdateResult(NamedTuple):
     """An updated model plus an audit diff against the input."""
 
     model: KripkeModel

@@ -35,6 +35,16 @@ FILE_FAULTS = {
     "directory": ("adir", None, "{model}: Is a directory"),
     "bad JSON": ("bad.json", '{"states": [', "{model}: line 1, column 13: Expecting value"),
     "bad document": ("doc.json", '{"states": []}', "{model}: model document is missing 'agents'"),
+    # JSON's \ud800 escape decodes to a lone surrogate, which no UTF-8 output can hold.
+    "lone surrogate in a state": (
+        "state.json", r'{"states": ["\ud800", "1"], "agents": ["a"], "props": ["p"], '
+                      r'"relations": {"a": {"1": ["\ud800"]}}, "valuation": {"p": ["\ud800"]}, '
+                      r'"locals": {"a": ["1"]}}',
+        r"{model}: states must be valid Unicode, not '\ud800'"),
+    "lone surrogate in meta": (
+        "meta.json", r'{"states": ["1"], "agents": ["a"], "props": [], "relations": {"a": {}}, '
+                     r'"valuation": {}, "locals": {"a": ["1"]}, "meta": {"k\udfff": "v"}}',
+        r"{model}: meta must be valid Unicode, not '\udfff'"),
 }
 
 # Failures of an argument: (arguments after the model path, message).
@@ -142,6 +152,41 @@ def test_closed_stdout_exits_141_and_writes_nothing_to_stderr(tmp_path, command,
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (141, "")
+
+
+def child_env(**extra):
+    """The environment of a child Python that imports epk from this checkout."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("command, stdout", [
+    ("show", ""),
+    ("validate", "agent a [global over 2 states]: reflexive=no symmetric=yes serial=no "
+                 "transitive=yes euclidean=yes  KD45=no S5=no\n"),
+], ids=["show", "validate"])
+def test_an_output_encoding_that_cannot_hold_a_name_is_one_error_line(tmp_path, command, stdout):
+    path = tmp_path / "m.json"
+    path.write_text('{"states": ["1", "\\u00e9"], "agents": ["a"], "props": [], '
+                    '"relations": {"a": {"1": ["1"]}}, "valuation": {}, "locals": {"a": ["1"]}}')
+    done = subprocess.run([sys.executable, "-m", "epk", str(path), command],
+                          capture_output=True, text=True, timeout=60,
+                          env=child_env(PYTHONIOENCODING="ascii"))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, stdout, "epk: error: cannot write '\\xe9' in ascii\n")
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect_nor_shutil():
+    # Each is start-up time for every command: dataclasses with inspect,
+    # ast and dis about 7-11 ms, shutil about 2.6 ms.  -S leaves out
+    # `site`, which may import them for its own reasons.
+    code = ("import sys, epk.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'shutil'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, env=child_env())
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_main_writes_to_the_streams_of_the_moment():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -5,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from epk import (KripkeModel, StateId, check_properties, classify_model, holds_globally, is_kd45, is_s5,
-                 parse, sat, update_online)
+from epk import (FramePropertyReport, KripkeModel, StateId, check_properties, classify_model,
+                 holds_globally, is_kd45, is_s5, parse, sat, update_online)
 from epk.frames import PROPERTIES
 from epk.model import ModelError
 from helpers import best_time, figure2, random_local_kd45_model, random_sparse_model
@@ -111,6 +113,50 @@ class TestSystems:
                 found += 1
                 assert is_kd45(rep)
         assert found > 0
+
+
+class TestReportValue:
+    def report(self, **changes):
+        fields = dict(agent="a", domain=frozenset({S("1"), S("2")}), reflexive=False,
+                      symmetric=True, serial=False, transitive=True, euclidean=True,
+                      witnesses={"reflexive": (S("2"),), "serial": (S("2"),)})
+        return FramePropertyReport(**{**fields, **changes})
+
+    def test_repr_and_equality(self):
+        rep = check_properties(edges(("1", "1")), {S("1"), S("2")}, agent="a")
+        assert rep == self.report() and rep != self.report(serial=True)
+        assert repr(self.report(domain=frozenset({S("1")}))) == (
+            "FramePropertyReport(agent='a', domain=frozenset({StateId('1')}), reflexive=False, "
+            "symmetric=True, serial=False, transitive=True, euclidean=True, "
+            "witnesses={'reflexive': (StateId('2'),), 'serial': (StateId('2'),)})")
+
+    def test_witnesses_default_to_an_empty_mapping(self):
+        rep = FramePropertyReport("a", frozenset(), True, True, True, True, True)
+        assert rep.witnesses == {} and len(rep.witnesses) == 0
+
+    def test_the_default_witnesses_cannot_be_changed(self):
+        # One default is shared by every report built without witnesses.
+        rep = FramePropertyReport("a", frozenset(), True, True, True, True, True)
+        with pytest.raises(TypeError):
+            rep.witnesses["serial"] = ()
+        assert FramePropertyReport("b", frozenset(), True, True, True, True, True).witnesses == {}
+
+    @pytest.mark.parametrize("clone", [
+        lambda r: pickle.loads(pickle.dumps(r)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_clones_are_equal(self, clone):
+        rep = self.report()
+        other = clone(rep)
+        assert type(other) is FramePropertyReport and other == rep and repr(other) == repr(rep)
+
+    def test_fields_cannot_be_assigned(self):
+        rep = self.report()
+        for name in ("agent", "serial", "witnesses"):
+            with pytest.raises(AttributeError):
+                setattr(rep, name, None)
+        assert rep == self.report()
 
 
 def random_relation(rng, n):

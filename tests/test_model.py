@@ -48,15 +48,71 @@ class TestStateId:
         assert s in {other} and {other: 1}[s] == 1
 
     def test_unpickling_recomputes_the_hash(self):
-        # String hashes are salted per process, so a hash cached in one
-        # process is wrong in the next: the clone must not carry it over.
+        # String hashes are salted per process, so a hash made in one
+        # process is wrong in the next: the clone must hash its own pair.
         s = S("3@act")
-        object.__setattr__(s, "_hash", 12345)
         for other in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
             assert hash(other) == hash(("3", ("act",)))
 
     def test_states_are_slotted(self):
         assert not hasattr(S("3@act"), "__dict__")
+
+    def test_states_sort_by_base_then_lineage(self):
+        names = ["10", "1@shift", "1@act@shift", "1", "1@act"]
+        for seed in range(5):
+            random.Random(seed).shuffle(names)
+            states = sorted(map(S, names))
+            assert [s.name for s in states] == ["1", "1@act", "1@act@shift", "1@shift", "10"]
+            assert states == sorted(states, key=lambda s: (s.base, s.lineage))
+        assert S("1@act") < S("10") and not S("10") < S("1@act")
+
+    def test_repr_and_str(self):
+        s = S("3@act@shift")
+        assert (repr(s), str(s)) == ("StateId('3@act@shift')", "3@act@shift")
+        assert repr(S("1")) == "StateId('1')"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trips_with_every_protocol(self, protocol):
+        s = S("3@act@shift")
+        other = pickle.loads(pickle.dumps(s, protocol))
+        assert type(other) is StateId and other == s and hash(other) == hash(s)
+        assert (other.base, other.lineage, repr(other)) == ("3", ("act", "shift"), repr(s))
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_checks_the_state_again(self, protocol):
+        data = pickle.dumps(S("3@act"), protocol)
+        assert data.count(b"act") == 1
+        with pytest.raises(ModelError, match="bad lineage tag: 'acX'"):
+            pickle.loads(data.replace(b"act", b"acX"))
+
+    def test_fields_cannot_be_assigned(self):
+        s = S("3@act")
+        for name, value in (("base", "4"), ("lineage", ())):
+            with pytest.raises(AttributeError):
+                setattr(s, name, value)
+        assert s.name == "3@act"
+
+    def test_any_sequence_of_tags_makes_a_lineage(self):
+        s = StateId("1", ["act", "shift"])
+        assert s == S("1@act@shift") and {s: 1}[S("1@act@shift")] == 1
+        assert type(s.lineage) is tuple and s.name == "1@act@shift"
+
+    def test_no_other_attribute_can_be_set(self):
+        with pytest.raises(AttributeError):
+            S("3@act").other = 1
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: StateId(""), "bad state base name: ''"),
+        (lambda: StateId("1@act"), "bad state base name: '1@act'"),
+        (lambda: StateId("1", ("bogus",)), "bad lineage tag: 'bogus'"),
+        (lambda: StateId("1", ("act", "")), "bad lineage tag: ''"),
+        (lambda: S("1@act@Shift"), "bad lineage tag: 'Shift'"),
+        (lambda: S("@act"), "bad state base name: ''"),
+    ])
+    def test_bad_names_keep_their_messages(self, make, message):
+        with pytest.raises(ModelError) as e:
+            make()
+        assert str(e.value) == message
 
 
 class TestIndex:

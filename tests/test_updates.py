@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import warnings
 
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from epk import (KripkeModel, ModelError, StateId, UpdateSpec, apply_update,
+from epk import (KripkeModel, ModelError, StateId, UpdateResult, UpdateSpec, apply_update,
                  formula_symbols, holds_for_agent, lie_offline, lie_online,
                  parse, update_offline, update_online)
 from helpers import figure2, figure2_minus_g, random_formula, random_local_kd45_model
@@ -33,6 +35,81 @@ class TestUpdateSpec:
 
     def test_apply_dispatch(self):
         res = apply_update(figure2(), UpdateSpec(kind="offline", target="g"))
+        assert "g" not in res.model.agents
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: UpdateSpec("bogus", "j"), "unknown update kind: bogus"),
+        (lambda: UpdateSpec(kind="bogus", target="j"), "unknown update kind: bogus"),
+        (lambda: UpdateSpec("lie_online", "j", None, frozenset()),
+         "update lie_online: liar required"),
+        (lambda: UpdateSpec("offline", "j", "i"), "update offline: liar not allowed"),
+        (lambda: UpdateSpec("online", "j"), "update online: new_locals required"),
+        (lambda: UpdateSpec(kind="lie_offline", target="j", liar="i", new_locals=frozenset()),
+         "update lie_offline: new_locals not allowed"),
+    ])
+    def test_positional_and_keyword_builds_are_checked(self, make, message):
+        with pytest.raises(ModelError) as e:
+            make()
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("clone", [
+        lambda s: pickle.loads(pickle.dumps(s)),
+        lambda s: pickle.loads(pickle.dumps(s, pickle.HIGHEST_PROTOCOL)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-highest", "copy", "deepcopy"])
+    def test_clones_are_equal(self, clone):
+        spec = UpdateSpec(kind="lie_online", target="z", liar="m", new_locals=frozenset([S("3")]))
+        other = clone(spec)
+        assert type(other) is UpdateSpec and other == spec and repr(other) == repr(spec)
+        assert repr(spec) == ("UpdateSpec(kind='lie_online', target='z', liar='m', "
+                              "new_locals=frozenset({StateId('3')}))")
+
+    def test_replace_and_make_are_checked_where_they_exist(self):
+        spec = UpdateSpec("offline", "g")
+        if hasattr(spec, "_replace"):
+            assert spec._replace(target="f") == UpdateSpec("offline", "f")
+            with pytest.raises(ModelError, match="liar required"):
+                spec._replace(kind="lie_offline")
+        if hasattr(UpdateSpec, "_make"):
+            assert UpdateSpec._make(["offline", "g", None, None]) == spec
+            with pytest.raises(ModelError, match="unknown update kind: bogus"):
+                UpdateSpec._make(["bogus", "g", None, None])
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_checks_the_spec_again(self, protocol):
+        data = pickle.dumps(UpdateSpec("offline", "g"), protocol)
+        assert data.count(b"offline") == 1
+        with pytest.raises(ModelError, match="unknown update kind: offlinX"):
+            pickle.loads(data.replace(b"offline", b"offlinX"))
+
+    def test_fields_cannot_be_assigned(self):
+        spec = UpdateSpec("offline", "g")
+        with pytest.raises(AttributeError):
+            spec.kind = "online"
+        assert spec.kind == "offline"
+
+
+class TestUpdateResult:
+    def test_fields_repr_and_equality(self):
+        res = update_offline(figure2(), "g")
+        assert res == UpdateResult(model=res.model, discarded_states=res.discarded_states,
+                                   added_edges=res.added_edges, removed_edges=res.removed_edges)
+        assert res != UpdateResult(res.model, frozenset([S("1")]), res.added_edges,
+                                   res.removed_edges)
+        assert repr(res) == (f"UpdateResult(model={res.model!r}, discarded_states=frozenset(), "
+                             f"added_edges={{'f': 0, 'g': 0, 'm': 0}}, "
+                             f"removed_edges={{'f': 0, 'g': 1, 'm': 0}})")
+
+    def test_pickle_round_trips(self):
+        res = lie_offline(figure2(), "f", "g")
+        other = pickle.loads(pickle.dumps(res))
+        assert type(other) is UpdateResult and other == res and repr(other) == repr(res)
+
+    def test_fields_cannot_be_assigned(self):
+        res = update_offline(figure2(), "g")
+        with pytest.raises(AttributeError):
+            res.model = figure2()
         assert "g" not in res.model.agents
 
 
