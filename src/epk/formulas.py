@@ -27,7 +27,6 @@ Nodes are immutable slotted objects, each built by a plain `__init__`.
 from __future__ import annotations
 
 import re
-from typing import FrozenSet, List, Tuple, Union
 
 
 class ParseError(ValueError):
@@ -162,7 +161,7 @@ class PossibleAgent(_Agency):
     __slots__ = ()
 
 
-Formula = Union[Prop, Not, And, Or, Implies, Believes, CertainAgent, PossibleAgent]
+Formula = Prop | Not | And | Or | Implies | Believes | CertainAgent | PossibleAgent
 
 # Each open parenthesis costs the parser a few stack frames.
 MAX_PAREN_DEPTH = 100
@@ -177,11 +176,11 @@ class _Fault(Exception):
     """A syntax error at token `args[1]`; `parse` works out its position."""
 
 
-def _expected(what: str, toks: List[str], i: int) -> _Fault:
+def _expected(what: str, toks: list[str], i: int) -> _Fault:
     return _Fault(f"expected {what}, found {toks[i] or 'end of input'!r}", i)
 
 
-def _implication(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
+def _implication(toks: list[str], i: int, depth: int) -> tuple[Formula, int]:
     f, i = _disjunction(toks, i, depth)
     parts = [f]
     while toks[i] == "->":
@@ -192,7 +191,7 @@ def _implication(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
     return f, i
 
 
-def _disjunction(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
+def _disjunction(toks: list[str], i: int, depth: int) -> tuple[Formula, int]:
     f, i = _conjunction(toks, i, depth)
     while toks[i] == "|":
         g, i = _conjunction(toks, i + 1, depth)
@@ -200,7 +199,7 @@ def _disjunction(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
     return f, i
 
 
-def _conjunction(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
+def _conjunction(toks: list[str], i: int, depth: int) -> tuple[Formula, int]:
     f, i = _unary(toks, i, depth)
     while toks[i] == "&":
         g, i = _unary(toks, i + 1, depth)
@@ -208,7 +207,7 @@ def _conjunction(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
     return f, i
 
 
-def _unary(toks: List[str], i: int, depth: int) -> Tuple[Formula, int]:
+def _unary(toks: list[str], i: int, depth: int) -> tuple[Formula, int]:
     # Runs of prefix operators are read in a loop, so they may be of any
     # length; only parentheses recurse, and their depth is capped.  Only a
     # token read as what it should be is looked past, and it is never the
@@ -311,7 +310,7 @@ def unparse(f: Formula) -> str:
     return "".join(out)
 
 
-def formula_symbols(f: Formula) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+def formula_symbols(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
     """All agent names and proposition names occurring in the formula."""
     agents, props = set(), set()
     stack = [f]

@@ -9,28 +9,23 @@ globally non-serial relations, and frequently do.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import namedtuple
+from collections.abc import Iterable
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from .model import Agent, Edge, KripkeModel, ModelError, StateId, positions, read_rows
 
 PROPERTIES = ("reflexive", "symmetric", "serial", "transitive", "euclidean")
 
 
-class FramePropertyReport(NamedTuple):
-    agent: Agent
-    domain: FrozenSet[StateId]
-    reflexive: bool
-    symmetric: bool
-    serial: bool
-    transitive: bool
-    euclidean: bool
-    # one counterexample tuple per failed property
-    witnesses: Mapping[str, Tuple[StateId, ...]] = MappingProxyType({})
+# An agent's flag per property over its domain, and in `witnesses` one
+# counterexample tuple of states per failed property.
+FramePropertyReport = namedtuple("FramePropertyReport",
+                                 ("agent", "domain", *PROPERTIES, "witnesses"),
+                                 defaults=(MappingProxyType({}),))
 
 
-def _witnesses(order, rows: List[int], domain: int) -> Dict[str, Tuple[StateId, ...]]:
+def _witnesses(order, rows: list[int], domain: int) -> dict[str, tuple[StateId, ...]]:
     """Each property that the relation with successor rows `rows` (over the
     sorted numbering `order`) fails on the states in `domain`, with its
     lexicographically least counterexample.  Rows of domain states must
@@ -42,20 +37,20 @@ def _witnesses(order, rows: List[int], domain: int) -> Dict[str, Tuple[StateId, 
     costs one test where it would cost one per edge."""
     # each distinct row with the domain states holding it, in order of
     # their least state
-    distinct: Dict[int, int] = {}
+    distinct: dict[int, int] = {}
     for k in positions(domain):
         distinct[rows[k]] = distinct.get(rows[k], 0) | 1 << k
 
     def low(mask: int) -> int:
         return (mask & -mask).bit_length() - 1
 
-    def targets(row: int) -> List[Tuple[int, int]]:
+    def targets(row: int) -> list[tuple[int, int]]:
         """Disjoint (targets, their row) pairs covering the targets of `row`."""
         if row.bit_count() <= len(distinct):
             return [(1 << t, rows[t]) for t in positions(row)]
         return [(held & row, t_row) for t_row, held in distinct.items() if held & row]
 
-    def least(found) -> Optional[Tuple[StateId, ...]]:
+    def least(found) -> tuple[StateId, ...] | None:
         """The least counterexample (s, ...) of those `found(row, held)`
         gives for each distinct row and the states `held` that hold it.
         Its s is one of them, so rows whose least state comes after the
@@ -90,7 +85,7 @@ def _witnesses(order, rows: List[int], domain: int) -> Dict[str, Tuple[StateId, 
     return {name: w for name, w in ((name, least(f)) for name, f in found.items()) if w}
 
 
-def _report(agent: Agent, domain: FrozenSet[StateId], witnesses) -> FramePropertyReport:
+def _report(agent: Agent, domain: frozenset[StateId], witnesses) -> FramePropertyReport:
     flags = {p: p not in witnesses for p in PROPERTIES}
     return FramePropertyReport(agent=agent, domain=domain, witnesses=witnesses, **flags)
 
@@ -112,7 +107,7 @@ def check_properties(relation: Iterable[Edge], domain: Iterable[StateId],
     return _report(agent, domain, _witnesses(order, rows, (1 << len(order)) - 1))
 
 
-def classify_model(model: KripkeModel, mode: str = "global") -> Dict[Agent, FramePropertyReport]:
+def classify_model(model: KripkeModel, mode: str = "global") -> dict[Agent, FramePropertyReport]:
     """Per-agent frame report.  Global mode checks R(i) over all states;
     local mode checks R(i) restricted to the i-reachable closure of I(i)."""
     if mode not in ("global", "local"):

@@ -20,12 +20,11 @@ mutates its input.  They are compared by value and cannot be hashed.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
+from collections.abc import Callable, Iterable, Iterator, Mapping, Set
 from functools import cached_property, reduce
 from itertools import compress, count, groupby
 from operator import itemgetter, or_
 from types import MappingProxyType
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .formulas import IDENT
 
@@ -76,6 +75,8 @@ class StateId(tuple):
 
     @classmethod
     def parse(cls, name: str) -> "StateId":
+        if not isinstance(name, str):
+            raise ModelError(f"bad state name: {name!r}")
         parts = name.split("@")
         return cls(parts[0], parts[1:])
 
@@ -86,7 +87,7 @@ class StateId(tuple):
         return f"StateId({self.name!r})"
 
 
-Edge = Tuple[StateId, StateId]
+Edge = tuple[StateId, StateId]
 
 
 def _check_token(name: str, what: str) -> str:
@@ -158,7 +159,7 @@ def _step(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def edge_count(rows: List[int]) -> int:
+def edge_count(rows: list[int]) -> int:
     """The number of edges in successor `rows`.  Where every non-empty row
     is one mask, as in a newcomer's rows after either arrival update (a
     lie leaves the act copies' rows empty), that mask is popcounted once.
@@ -174,12 +175,12 @@ def edge_count(rows: List[int]) -> int:
     return sum(map(int.bit_count, rows))
 
 
-def carrier(to: List[int]) -> Callable[[int], int]:
+def carrier(to: list[int]) -> Callable[[int], int]:
     """The map of masks from one numbering to another, where `to[k]` is the
     one-bit mask of state k's new number, or 0 for a state left out.
     Results are kept per mask: rows repeat (every row of a universal
     block is the same mask), and each distinct one is carried once."""
-    done: Dict[int, int] = {}
+    done: dict[int, int] = {}
 
     def carry(mask: int) -> int:
         out = done.get(mask)
@@ -194,7 +195,7 @@ def carrier(to: List[int]) -> Callable[[int], int]:
 
 
 # An agent's (home, links) in `ModelIndex.product`; STAY keeps it in a lone event.
-Wiring = Tuple[int, Tuple[Optional[int], ...]]
+Wiring = tuple[int, tuple[int | None, ...]]
 STAY: Wiring = (0, (0,))
 
 
@@ -209,18 +210,18 @@ class ModelIndex:
     so models may share rows and whole indexes.
     """
 
-    def __init__(self, order: Tuple[StateId, ...], rows: Dict[Agent, List[int]],
-                 valuation: Dict[Prop, int], locals: Dict[Agent, int],
-                 bit: Optional[Dict[StateId, int]] = None):
+    def __init__(self, order: tuple[StateId, ...], rows: dict[Agent, list[int]],
+                 valuation: dict[Prop, int], locals: dict[Agent, int],
+                 bit: dict[StateId, int] | None = None):
         self.order = order
-        self.bit: Dict[StateId, int] = dict(zip(order, range(len(order)))) if bit is None else bit
+        self.bit: dict[StateId, int] = dict(zip(order, range(len(order)))) if bit is None else bit
         self.full = (1 << len(order)) - 1
         self.rows = rows
         self.valuation = valuation
         self.locals = locals
 
     @cached_property
-    def present(self) -> Dict[Agent, int]:
+    def present(self) -> dict[Agent, int]:
         return {a: pack(row) for a, row in self.rows.items()}
 
     def mask(self, states: Iterable[StateId]) -> int:
@@ -234,7 +235,7 @@ class ModelIndex:
             m |= 1 << k
         return m
 
-    def states_of(self, mask: int) -> FrozenSet[StateId]:
+    def states_of(self, mask: int) -> frozenset[StateId]:
         """The states in `mask`."""
         return frozenset(self.order[k] for k in positions(mask))
 
@@ -247,7 +248,7 @@ class ModelIndex:
                 out |= row[k]
         return out
 
-    def product(self, tags: Tuple[Optional[str], ...], kept: List[int],
+    def product(self, tags: tuple[str | None, ...], kept: list[int],
                 agents: Mapping[Agent, Wiring]) -> "ModelIndex":
         """The index of the copies `kept` of a product of this index with
         one event per tag: the one renumbering of states.
@@ -276,7 +277,7 @@ class ModelIndex:
         for pos, (_s, k, e) in enumerate(copies):
             to[e][k] = 1 << pos
         carry = [carrier(t) for t in to]
-        rows: Dict[Agent, List[int]] = {}
+        rows: dict[Agent, list[int]] = {}
         for a, (_home, links) in agents.items():
             old, into = self.rows[a], [None if f is None else carry[f] for f in links]
             rows[a] = [0 if into[e] is None else into[e](old[k]) for _s, k, e in copies]
@@ -308,7 +309,7 @@ class Edges(Set):
 
     __slots__ = ("_order", "_bit", "_rows")
 
-    def __init__(self, order: Tuple[StateId, ...], bit: Dict[StateId, int], rows: List[int]):
+    def __init__(self, order: tuple[StateId, ...], bit: dict[StateId, int], rows: list[int]):
         self._order, self._bit, self._rows = order, bit, rows
 
     def __len__(self) -> int:
@@ -332,7 +333,7 @@ class Edges(Set):
     __hash__ = None
 
     @classmethod
-    def _from_iterable(cls, it) -> FrozenSet[Edge]:
+    def _from_iterable(cls, it) -> frozenset[Edge]:
         return frozenset(it)
 
     def __repr__(self) -> str:
@@ -342,7 +343,7 @@ class Edges(Set):
 _source, _target = itemgetter(0), itemgetter(1)
 
 
-def read_rows(relation, one: Dict, n: int, made: Dict[tuple, int]) -> List[int]:
+def read_rows(relation, one: dict, n: int, made: dict[tuple, int]) -> list[int]:
     """The successor rows of `relation` over n numbered states: the
     relation is a mapping {s: [t, ...]} or an iterable of (s, t) pairs, and
     `one` holds the one-bit mask of each state's number.  A KeyError names
@@ -374,9 +375,11 @@ class KripkeModel:
 
     `relations` maps each agent to a lazy `Edges` view of its successor
     rows; `valuation` and `locals` map names to frozensets of states.
-    These views, `states`, `agents` and `props` are built on first read.
-    `meta` maps strings to strings.  Equality compares the index, not
-    `meta`.  Models hold dicts, so hashing is switched off.
+    These views, `states`, `agents` and `props` are built on first read;
+    `meta` maps strings to strings.  Every mapping is read-only, and
+    pickling and copying carry the index and `meta` alone, whatever has
+    been read.  Equality compares the index, not `meta`.  Models hold
+    dicts, so hashing is switched off.
     """
 
     __hash__ = None
@@ -384,7 +387,7 @@ class KripkeModel:
     meta: Mapping[str, str]
     index: ModelIndex
 
-    def __init__(self, index: ModelIndex, meta: Optional[Mapping[str, str]] = None):
+    def __init__(self, index: ModelIndex, meta: Mapping[str, str] | None = None):
         """The model whose states, relations, valuation and local states
         `index` holds; its agents are the keys of `index.rows` and its
         propositions those of `index.valuation`.  Only names, local states
@@ -397,7 +400,10 @@ class KripkeModel:
         if not isinstance(meta, Mapping) or not all(
                 isinstance(k, str) and isinstance(v, str) for k, v in meta.items()):
             raise ModelError("meta must map strings to strings")
-        vars(self).update(index=index, meta=dict(meta))
+        vars(self).update(index=index, meta=MappingProxyType(dict(meta)))
+
+    def __reduce__(self):  # the index and meta alone, never a view read from them
+        return type(self), (self.index, dict(self.meta))
 
     @classmethod
     def build(cls, states, agents, props, relations, valuation, locals, meta=None):
@@ -417,7 +423,7 @@ class KripkeModel:
         one = {}
         for s, k in bit.items():
             one[s] = one[s.name] = 1 << k
-        made: Dict[tuple, int] = {}
+        made: dict[tuple, int] = {}
 
         def each(named, read, message):
             out = {}
@@ -440,15 +446,15 @@ class KripkeModel:
             bit), meta)
 
     @cached_property
-    def states(self) -> FrozenSet[StateId]:
+    def states(self) -> frozenset[StateId]:
         return frozenset(self.index.order)
 
     @cached_property
-    def agents(self) -> FrozenSet[Agent]:
+    def agents(self) -> frozenset[Agent]:
         return frozenset(self.index.rows)
 
     @cached_property
-    def props(self) -> FrozenSet[Prop]:
+    def props(self) -> frozenset[Prop]:
         return frozenset(self.index.valuation)
 
     @cached_property
@@ -457,12 +463,14 @@ class KripkeModel:
         return MappingProxyType({a: Edges(idx.order, idx.bit, row) for a, row in idx.rows.items()})
 
     @cached_property
-    def valuation(self) -> Dict[Prop, FrozenSet[StateId]]:
-        return {p: self.index.states_of(m) for p, m in self.index.valuation.items()}
+    def valuation(self) -> Mapping[Prop, frozenset[StateId]]:
+        idx = self.index
+        return MappingProxyType({p: idx.states_of(m) for p, m in idx.valuation.items()})
 
     @cached_property
-    def locals(self) -> Dict[Agent, FrozenSet[StateId]]:
-        return {a: self.index.states_of(m) for a, m in self.index.locals.items()}
+    def locals(self) -> Mapping[Agent, frozenset[StateId]]:
+        idx = self.index
+        return MappingProxyType({a: idx.states_of(m) for a, m in idx.locals.items()})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"KripkeModel is immutable: cannot set {name!r}")
@@ -492,7 +500,7 @@ class KripkeModel:
         return self.index.mask((state,)).bit_length() - 1
 
 
-def successors(model: KripkeModel, agent: Agent, state: StateId) -> FrozenSet[StateId]:
+def successors(model: KripkeModel, agent: Agent, state: StateId) -> frozenset[StateId]:
     """All states reachable from `state` by one edge of `agent`."""
     model.require_agent(agent)
     k = model.require_state(state)
@@ -510,7 +518,7 @@ def subjective_relation(model: KripkeModel, agent: Agent) -> Edges:
 
 
 def reachable_from(model: KripkeModel, seeds: Iterable[StateId],
-                   agents: Iterable[Agent]) -> FrozenSet[StateId]:
+                   agents: Iterable[Agent]) -> frozenset[StateId]:
     """Smallest superset of `seeds` closed under the given agents' edges."""
     idx = model.index
     seeds = idx.mask(seeds)  # an unknown state is reported before an unknown agent

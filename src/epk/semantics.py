@@ -25,8 +25,6 @@ absent everywhere, so formulas about departed agents remain evaluable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
 from .formulas import (And, Believes, CertainAgent, Formula, Implies, Not, Or,
                        PossibleAgent, Prop)
 from .model import Agent, KripkeModel, ModelError, StateId, pack, positions
@@ -46,7 +44,7 @@ def presence_at(model: KripkeModel, j: Agent, state: StateId) -> bool:
 DENSE_SHARE = 1 / 3
 
 
-def _diamond(rows: List[int], mask: int, need: Optional[int]) -> int:
+def _diamond(rows: list[int], mask: int, need: int | None) -> int:
     """The states of `need` (every state if None) with at least one
     successor in `mask`."""
     if need is None:
@@ -58,7 +56,7 @@ _BINARY = frozenset((And, Or, Implies))
 _LISTED = object()  # on sat's stack, above a node whose children are listed
 
 
-def sat(model: KripkeModel, f: Formula, within: Optional[int] = None) -> int:
+def sat(model: KripkeModel, f: Formula, within: int | None = None) -> int:
     """The states of `within` where `f` holds, as a bitmask over
     `model.index`; `within` is a mask over the same numbering, every state
     by default, and one with bits outside the model raises `ModelError`.
@@ -133,7 +131,7 @@ def sat(model: KripkeModel, f: Formula, within: Optional[int] = None) -> int:
                 n = full if n.bit_count() > dense else idx.image(n, (g.agent,))
             need[id(g.sub)] = need.get(id(g.sub), 0) | n
 
-    done: Dict[int, int] = {}
+    done: dict[int, int] = {}
     for g in post:
         n = need[id(g)]
         t = type(g)

@@ -38,8 +38,8 @@ import json
 import os
 import stat
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .model import KripkeModel, ModelError, positions
 
@@ -52,7 +52,7 @@ def model_to_doc(model: KripkeModel) -> dict:
     idx = model.index
     names = [s.name for s in idx.order]
 
-    def successors(rows: List[int]) -> Dict[str, List[str]]:
+    def successors(rows: list[int]) -> dict[str, list[str]]:
         return dict(sorted((names[k], sorted(names[t] for t in positions(row)))
                            for k, row in enumerate(rows) if row))
 
@@ -93,7 +93,7 @@ def _lists(relation) -> bool:
     return set(map(type, relation)) <= {list} and set(map(len, relation)) <= {2}
 
 
-def _relation_fault(a: str, relation) -> Optional[str]:
+def _relation_fault(a: str, relation) -> str | None:
     """What is wrong with the shape of agent a's relation, if anything."""
     if type(relation) is dict:
         for s, targets in relation.items():
@@ -177,7 +177,7 @@ def load_model(path: str) -> KripkeModel:
         raise DocumentError(f"{path}: {e}") from e
 
 
-def _json_block(items: List[str], depth: int) -> str:
+def _json_block(items: list[str], depth: int) -> str:
     """A JSON array of already encoded items, laid out as `json.dumps` lays
     it out with `indent=2` at nesting depth `depth`."""
     if not items:
@@ -186,7 +186,7 @@ def _json_block(items: List[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
-def _json_object(values: Dict[str, str], depth: int) -> str:
+def _json_object(values: dict[str, str], depth: int) -> str:
     """A JSON object of already encoded values, its keys sorted, laid out
     as `json.dumps` lays it out with `indent=2` at nesting depth `depth`."""
     if not values:
@@ -227,7 +227,7 @@ def _model_pieces(model: KripkeModel) -> Iterator[str]:
         yield ',\n  "meta": ' + _json_object({k: _quote(v) for k, v in model.meta.items()}, 1)
     yield ',\n  "props": ' + _json_block([_quote(p) for p in sorted(model.props)], 1)
     yield ',\n  "relations": {'
-    targets: Dict[int, str] = {}  # a row's target list, at depth 3
+    targets: dict[int, str] = {}  # a row's target list, at depth 3
     for i, a in enumerate(agents):
         rows, sep = idx.rows[a], "\n      "
         yield ("," if i else "") + "\n    " + _quote(a) + ": {"
@@ -327,7 +327,7 @@ def _dot_pieces(model: KripkeModel) -> Iterator[str]:
         return (f'{ids[k]} [label={label}\\nI({",".join(owners[k])})", '
                 'peripheries=2, style=filled, fillcolor="lightgrey"];')
 
-    by_tag: Dict[Tuple[str, ...], List[int]] = {}  # the last tag, or () for none
+    by_tag: dict[tuple[str, ...], list[int]] = {}  # the last tag, or () for none
     for k, s in enumerate(idx.order):
         by_tag.setdefault(s.lineage[-1:], []).append(k)
     yield "digraph model {\n  rankdir=LR;\n  node [shape=circle];\n"

@@ -15,8 +15,9 @@ states, and the event that its edges out of each event lead into.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
+from collections.abc import Iterable
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Tuple
 
 from .formulas import CertainAgent
 from .model import (LINEAGE_TAGS, STAY, Agent, KripkeModel, ModelError, ModelIndex, StateId,
@@ -39,8 +40,8 @@ class UpdateSpec(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, target: Agent, liar: Optional[Agent] = None,
-                new_locals: Optional[FrozenSet[StateId]] = None) -> "UpdateSpec":
+    def __new__(cls, kind: str, target: Agent, liar: Agent | None = None,
+                new_locals: frozenset[StateId] | None = None) -> "UpdateSpec":
         if kind not in UPDATE_KINDS:
             raise ModelError(f"unknown update kind: {kind}")
         needs_liar = kind in ("lie_offline", "lie_online")
@@ -60,13 +61,10 @@ class UpdateSpec(tuple):
         return "UpdateSpec(kind={!r}, target={!r}, liar={!r}, new_locals={!r})".format(*self)
 
 
-class UpdateResult(NamedTuple):
-    """An updated model plus an audit diff against the input."""
-
-    model: KripkeModel
-    discarded_states: FrozenSet[StateId]
-    added_edges: Dict[Agent, int]
-    removed_edges: Dict[Agent, int]
+UpdateResult = namedtuple("UpdateResult",
+                          ("model", "discarded_states", "added_edges", "removed_edges"))
+UpdateResult.__doc__ = """An updated model plus an audit diff against the input: the states it
+discarded, and per agent the number of edges added and removed."""
 
 
 def _edge_diff(before: KripkeModel, after: KripkeModel):
@@ -96,9 +94,9 @@ def _edge_diff(before: KripkeModel, after: KripkeModel):
     return added, removed
 
 
-def _product(model: KripkeModel, tags: Tuple[Optional[str], ...],
-             wiring: Dict[Agent, Wiring],
-             newcomer: Optional[Agent] = None,
+def _product(model: KripkeModel, tags: tuple[str | None, ...],
+             wiring: dict[Agent, Wiring],
+             newcomer: Agent | None = None,
              new_locals: Iterable[StateId] = ()) -> UpdateResult:
     """The product update of `model` with an action model of one event per
     tag (Baltag, Moss and Solecki 1998), pruned to the copies reachable

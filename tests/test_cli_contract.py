@@ -35,6 +35,10 @@ FILE_FAULTS = {
     "directory": ("adir", None, "{model}: Is a directory"),
     "bad JSON": ("bad.json", '{"states": [', "{model}: line 1, column 13: Expecting value"),
     "bad document": ("doc.json", '{"states": []}', "{model}: model document is missing 'agents'"),
+    "valuation without a proposition": (
+        "props.json", '{"states": ["1"], "agents": ["a"], "props": ["p"], "relations": {"a": {}}, '
+                      '"valuation": {}, "locals": {"a": ["1"]}}',
+        "{model}: valuation must have exactly one entry per proposition"),
     # JSON's \ud800 escape decodes to a lone surrogate, which no UTF-8 output can hold.
     "lone surrogate in a state": (
         "state.json", r'{"states": ["\ud800", "1"], "agents": ["a"], "props": ["p"], '
@@ -180,10 +184,10 @@ def test_an_output_encoding_that_cannot_hold_a_name_is_one_error_line(tmp_path, 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect_nor_shutil():
     # Each is start-up time for every command: dataclasses with inspect,
-    # ast and dis about 7-11 ms, shutil about 2.6 ms.  -S leaves out
+    # ast and dis about 7-11 ms, shutil about 2.6 ms, typing about 3.6 ms.  -S leaves out
     # `site`, which may import them for its own reasons.
     code = ("import sys, epk.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'shutil'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'shutil', 'typing'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           timeout=60, env=child_env())
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epk.formulas import (MAX_PAREN_DEPTH, And, Believes, CertainAgent,
+from epk import sat
+from epk.formulas import (MAX_PAREN_DEPTH, And, Believes, CertainAgent, Formula,
                           Implies, Not, Or, ParseError, PossibleAgent, Prop,
                           formula_symbols, parse, unparse)
-from helpers import random_ast
+from helpers import figure2, random_ast
 
 
 class TestParse:
@@ -86,6 +87,9 @@ class TestParse:
         ("C[a b]", "expected ',', found 'b'", 4),
         ("p q $", "unexpected character '$'", 4),
         ("\tp &\t", "expected a name, found 'end of input'", 5),
+        ("B[(] p", "expected a name, found '('", 2),
+        ("B[] p", "expected a name, found ']'", 2),
+        ("B[,] p", "expected a name, found ','", 2),
     ])
     def test_error_message_and_position(self, text, message, pos):
         with pytest.raises(ParseError) as e:
@@ -253,3 +257,17 @@ class TestDeepFormulas:
         f = parse("B[a] (p & ~C[a,b]) -> P[b,a] | q")
         g = clone(f)
         assert g == f and hash(g) == hash(f)
+
+
+class TestFormulaType:
+    def test_every_node_is_a_formula(self):
+        for text in ("p", "~p", "p & q", "p | q", "p -> q", "B[a] p", "C[a,b]", "P[a,b]"):
+            assert isinstance(parse(text), Formula)
+        assert not isinstance("p", Formula)
+
+    @pytest.mark.parametrize("call", [lambda x: sat(figure2(), x), unparse, formula_symbols],
+                             ids=["sat", "unparse", "formula_symbols"])
+    def test_a_non_formula_is_refused(self, call):
+        with pytest.raises(TypeError) as e:
+            call("p")
+        assert str(e.value) == "not a formula: 'p'"

@@ -18,6 +18,11 @@ def S(name):
     return StateId.parse(name)
 
 
+def one_state(state):
+    return KripkeModel.build(states=[state], agents=[], props=[], relations={}, valuation={},
+                             locals={})
+
+
 class TestStateId:
     def test_parse_and_name(self):
         s = S("3@act@shift")
@@ -108,6 +113,11 @@ class TestStateId:
         (lambda: StateId("1", ("act", "")), "bad lineage tag: ''"),
         (lambda: S("1@act@Shift"), "bad lineage tag: 'Shift'"),
         (lambda: S("@act"), "bad state base name: ''"),
+        (lambda: replicate_with_lineage(figure2(), "bogus"), "bad lineage tag: 'bogus'"),
+        (lambda: one_state(1), "bad state name: 1"),
+        (lambda: one_state(None), "bad state name: None"),
+        (lambda: one_state(("1", ())), "bad state name: ('1', ())"),
+        (lambda: one_state(b"1"), "bad state name: b'1'"),
     ])
     def test_bad_names_keep_their_messages(self, make, message):
         with pytest.raises(ModelError) as e:
@@ -152,6 +162,8 @@ class TestIndex:
 
 
 class TestModelValue:
+    META = {"name": "figure 2"}
+
     def test_hashing_is_off(self):
         with pytest.raises(TypeError, match="KripkeModel"):
             hash(figure2())
@@ -161,6 +173,33 @@ class TestModelValue:
         m = figure2()
         with pytest.raises(AttributeError):
             m.states = frozenset()
+
+    def test_no_field_can_be_deleted(self):
+        m = figure2()
+        with pytest.raises(AttributeError) as e:
+            del m.meta
+        assert str(e.value) == "KripkeModel is immutable: cannot delete 'meta'"
+
+    def test_a_model_equals_no_other_value(self):
+        assert (figure2() == 1) is False and figure2() != figure2().index
+
+    @pytest.mark.parametrize("view", ["valuation", "locals", "meta"])
+    def test_the_mappings_cannot_be_changed(self, view):
+        m = KripkeModel(figure2().index, self.META)
+        with pytest.raises(TypeError):
+            getattr(m, view)["p"] = frozenset()
+        assert m.valuation["p"] == figure2().valuation["p"] and dict(m.meta) == self.META
+
+    @pytest.mark.parametrize("how", [*range(pickle.HIGHEST_PROTOCOL + 1), "copy", "deepcopy"])
+    def test_pickles_and_copies_whatever_has_been_read(self, how):
+        # A pickle protocol, or the name of a function of `copy`.
+        m = KripkeModel(figure2().index, self.META)
+        for view in ("states", "agents", "props", "relations", "valuation", "locals", "meta"):
+            getattr(m, view)
+        other = getattr(copy, how)(m) if how in ("copy", "deepcopy") else pickle.loads(
+            pickle.dumps(m, how))
+        assert type(other) is KripkeModel and other == m and dict(other.meta) == self.META
+        assert other.relations == m.relations and other.valuation == m.valuation
 
     def test_equality_compares_edges_not_meta(self):
         m = figure2()
