@@ -308,25 +308,3 @@ def unparse(f: Formula) -> str:
         else:
             raise TypeError(f"not a formula: {g!r}")
     return "".join(out)
-
-
-def formula_symbols(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
-    """All agent names and proposition names occurring in the formula."""
-    agents, props = set(), set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Prop):
-            props.add(g.name)
-        elif isinstance(g, Not):
-            stack.append(g.sub)
-        elif isinstance(g, _Binary):
-            stack += [g.right, g.left]
-        elif isinstance(g, Believes):
-            agents.add(g.agent)
-            stack.append(g.sub)
-        elif isinstance(g, _Agency):
-            agents.update((g.agent, g.about))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-    return frozenset(agents), frozenset(props)

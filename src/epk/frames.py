@@ -23,6 +23,10 @@ PROPERTIES = ("reflexive", "symmetric", "serial", "transitive", "euclidean")
 FramePropertyReport = namedtuple("FramePropertyReport",
                                  ("agent", "domain", *PROPERTIES, "witnesses"),
                                  defaults=(MappingProxyType({}),))
+# A MappingProxyType cannot be pickled or copied: a report is rebuilt with
+# its witnesses as a dict, or without any, to get the read-only default.
+FramePropertyReport.__reduce__ = lambda r: (
+    FramePropertyReport, (*r[:-1], dict(r.witnesses)) if r.witnesses else r[:-1])
 
 
 def _witnesses(order, rows: list[int], domain: int) -> dict[str, tuple[StateId, ...]]:

@@ -500,14 +500,6 @@ class KripkeModel:
         return self.index.mask((state,)).bit_length() - 1
 
 
-def successors(model: KripkeModel, agent: Agent, state: StateId) -> frozenset[StateId]:
-    """All states reachable from `state` by one edge of `agent`."""
-    model.require_agent(agent)
-    k = model.require_state(state)
-    idx = model.index
-    return idx.states_of(idx.rows[agent][k])
-
-
 def subjective_relation(model: KripkeModel, agent: Agent) -> Edges:
     """The agent's relation with its domain restricted to the agent's local states."""
     model.require_agent(agent)

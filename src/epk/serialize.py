@@ -48,29 +48,6 @@ class DocumentError(ValueError):
     """A model file that does not parse or does not validate."""
 
 
-def model_to_doc(model: KripkeModel) -> dict:
-    idx = model.index
-    names = [s.name for s in idx.order]
-
-    def successors(rows: list[int]) -> dict[str, list[str]]:
-        return dict(sorted((names[k], sorted(names[t] for t in positions(row)))
-                           for k, row in enumerate(rows) if row))
-
-    doc = {
-        "states": sorted(names),
-        "agents": sorted(model.agents),
-        "props": sorted(model.props),
-        "relations": {a: successors(idx.rows[a]) for a in sorted(model.agents)},
-        "valuation": {p: sorted(s.name for s in model.valuation[p])
-                      for p in sorted(model.props)},
-        "locals": {a: sorted(s.name for s in model.locals[a])
-                   for a in sorted(model.agents)},
-    }
-    if model.meta:
-        doc["meta"] = dict(sorted(model.meta.items()))
-    return doc
-
-
 def _strings(value, where: str) -> list:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise DocumentError(f"{where} must be a list of strings")
@@ -246,10 +223,10 @@ def _model_pieces(model: KripkeModel) -> Iterator[str]:
 
 
 def dumps_model(model: KripkeModel) -> str:
-    """The canonical document of `model`: exactly the text of
-    `json.dumps(model_to_doc(model), indent=2, sort_keys=True)` plus a
-    newline, written without the pure-Python encoder `json` falls back
-    to when `indent` is set."""
+    """The canonical document of `model`: the schema above with every list
+    sorted, `meta` only when it has an entry, laid out as `json.dumps(doc,
+    indent=2, sort_keys=True)` lays it out, plus a newline, but without the
+    pure-Python encoder `json` falls back to when `indent` is set."""
     return "".join(_model_pieces(model))
 
 

@@ -47,6 +47,19 @@ def eval_for_agent(model, agent, f):
     return all(eval_at(model, s, f) for s in model.locals[agent])
 
 
+def agents_of(f):
+    """The agent names occurring in `f`, both indices of C/P included."""
+    if isinstance(f, Prop):
+        return set()
+    if isinstance(f, (CertainAgent, PossibleAgent)):
+        return {f.agent, f.about}
+    if isinstance(f, Believes):
+        return {f.agent} | agents_of(f.sub)
+    if isinstance(f, Not):
+        return agents_of(f.sub)
+    return agents_of(f.left) | agents_of(f.right)
+
+
 def _bfs(seeds, relations):
     seen = set(seeds)
     queue = deque(seeds)
@@ -212,6 +225,29 @@ def oracle_product(model, tags, wiring, newcomer=None, new_locals=()):
         new = {(s.name, t.name) for (s, t) in after.relations.get(a, ())}
         added[a], removed[a] = len(new - old), len(old - new)
     return after, states - after.states, added, removed
+
+
+def oracle_doc(model):
+    """The canonical document of `model`, made from its set views: every
+    list of names sorted, each relation an adjacency map of the sources
+    that have a successor, and `meta` only when it has an entry.  Its
+    text is `json.dumps(doc, indent=2, sort_keys=True)` plus a newline."""
+    def names(states):
+        return sorted(s.name for s in states)
+
+    relations = {}
+    for a in model.agents:
+        targets = {}
+        for s, t in model.relations[a]:
+            targets.setdefault(s.name, []).append(t.name)
+        relations[a] = {s: sorted(ts) for s, ts in targets.items()}
+    doc = {"states": names(model.states), "agents": sorted(model.agents),
+           "props": sorted(model.props), "relations": relations,
+           "valuation": {p: names(model.valuation[p]) for p in model.props},
+           "locals": {a: names(model.locals[a]) for a in model.agents}}
+    if model.meta:
+        doc["meta"] = dict(model.meta)
+    return doc
 
 
 def _dot_escaped(text):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from epk import sat
 from epk.formulas import (MAX_PAREN_DEPTH, And, Believes, CertainAgent, Formula,
-                          Implies, Not, Or, ParseError, PossibleAgent, Prop,
-                          formula_symbols, parse, unparse)
+                          Implies, Not, Or, ParseError, PossibleAgent, Prop, parse,
+                          unparse)
 from helpers import figure2, random_ast
 
 
@@ -152,29 +152,6 @@ class TestUnparse:
     def test_deep_formulas_print(self, text):
         assert unparse(parse(text)) == text
 
-class TestFormulaSymbols:
-    def test_nested_belief(self):
-        agents, props = formula_symbols(parse("B[m] B[f] C[f,g]"))
-        assert agents == {"m", "f", "g"}
-        assert props == frozenset()
-
-    def test_propositional(self):
-        agents, props = formula_symbols(parse("p & ~p"))
-        assert agents == frozenset()
-        assert props == {"p"}
-
-    def test_mixed(self):
-        agents, props = formula_symbols(parse("~B[m] p"))
-        assert agents == {"m"}
-        assert props == {"p"}
-
-    @pytest.mark.parametrize("text", ["~" * 5000 + "p", "B[a] " * 5000 + "p"],
-                             ids=["negation", "belief"])
-    def test_deep_chains(self, text):
-        agents, props = formula_symbols(parse(text))
-        assert agents == ({"a"} if text.startswith("B") else frozenset())
-        assert props == {"p"}
-
 
 DEEP = {
     "negation": "~" * 5000 + "p",
@@ -265,8 +242,8 @@ class TestFormulaType:
             assert isinstance(parse(text), Formula)
         assert not isinstance("p", Formula)
 
-    @pytest.mark.parametrize("call", [lambda x: sat(figure2(), x), unparse, formula_symbols],
-                             ids=["sat", "unparse", "formula_symbols"])
+    @pytest.mark.parametrize("call", [lambda x: sat(figure2(), x), unparse],
+                             ids=["sat", "unparse"])
     def test_a_non_formula_is_refused(self, call):
         with pytest.raises(TypeError) as e:
             call("p")

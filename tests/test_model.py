@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from epk import (KripkeModel, ModelError, StateId, holds_at, lie_online, parse,
                  prune_unreachable, reachable_from, replicate_with_lineage,
-                 subjective_relation, successors, update_online)
+                 subjective_relation, update_online)
 from epk.formulas import Believes, CertainAgent, PossibleAgent, Prop
 from epk.model import positions
 from helpers import figure2, figure2_minus_g, random_formula, random_local_kd45_model
@@ -16,6 +16,12 @@ from helpers import figure2, figure2_minus_g, random_formula, random_local_kd45_
 
 def S(name):
     return StateId.parse(name)
+
+
+def successors(m, agent, state):
+    # The agent's successors of one state, read from the index rows.
+    m.require_agent(agent)
+    return m.index.states_of(m.index.rows[agent][m.require_state(state)])
 
 
 def one_state(state):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from epk import (KripkeModel, ModelError, StateId, holds_at, holds_for_agent,
                  holds_globally, parse, presence_at, sat, semantics)
-from epk.formulas import And, Believes, CertainAgent, Implies, Not, Or, PossibleAgent
+from epk.formulas import And, Believes, CertainAgent, Implies, Not, Or, PossibleAgent, Prop
 from epk.frames import check_properties
 from epk.semantics import _least_failure
 from helpers import (best_time, figure2, random_formula, random_local_kd45_model,
@@ -85,6 +85,17 @@ class TestSat:
         # g holds at 3 only, the f-successor of every state.
         assert holds_at(m, S("1"), And(Believes("f", g), Not(g))) is True
         assert holds_at(m, S("3"), And(Believes("f", g), Not(g))) is False
+
+    def test_shared_operand_of_two_connectives_is_asked_at_both_needs(self):
+        # g is the left operand of an And asked at the point and of an And
+        # asked at the point's b-successors: its need is the union of the
+        # two.  Only a pointed query shows it; a global one needs every state.
+        g = Believes("a", Prop("p"))
+        f = Or(And(g, Prop("q")), Believes("b", And(g, Prop("r"))))
+        for seed in range(200):
+            m = random_sparse_model(random.Random(seed), 30)
+            for s in m.states:
+                assert holds_at(m, s, f) == oracles.eval_at(m, s, f), (seed, s)
 
     def test_leftmost_unknown_symbol_is_reported(self):
         with pytest.raises(ModelError, match="zzz"):

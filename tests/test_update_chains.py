@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import oracles
-from epk import (cli, doc_to_model, dumps_model, formula_symbols, holds_for_agent,
-                 lie_offline, lie_online, load_model, model_to_doc, parse, save_model,
-                 update_offline, update_online)
+from epk import (cli, doc_to_model, dumps_model, holds_for_agent, lie_offline, lie_online,
+                 load_model, parse, save_model, update_offline, update_online)
 from helpers import random_formula, random_local_kd45_model
 
 MAX_STATES = 24  # a lie doubles the states at most; no lie starts above this
@@ -100,7 +99,7 @@ class UpdateChains(RuleBasedStateMachine):
         for k in survivors:
             assert holds(after, k, f"~P[{k},{j}]")
         for f in self.formulas():
-            if j not in formula_symbols(f)[0]:
+            if j not in oracles.agents_of(f):
                 for k in survivors:
                     assert holds_for_agent(after, k, f) == holds_for_agent(before, k, f)
         self.model = after
@@ -145,7 +144,7 @@ class UpdateChains(RuleBasedStateMachine):
     @invariant()
     def the_document_round_trips(self):
         text = dumps_model(self.model)
-        assert text == json.dumps(model_to_doc(self.model), indent=2, sort_keys=True) + "\n"
+        assert text == json.dumps(oracles.oracle_doc(self.model), indent=2, sort_keys=True) + "\n"
         again = doc_to_model(json.loads(text))
         assert again == self.model and dumps_model(again) == text
 
