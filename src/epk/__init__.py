@@ -10,8 +10,7 @@ from .model import (KripkeModel, ModelError, StateId, prune_unreachable,
 from .semantics import holds_at, holds_for_agent, holds_globally, presence_at, sat
 from .serialize import (DocumentError, doc_to_model, dumps_dot, dumps_model,
                         export_dot, load_model, save_model)
-from .updates import (UpdateResult, UpdateSpec, apply_update, lie_offline,
-                      lie_online, update_offline, update_online)
+from .updates import UpdateResult, lie_offline, lie_online, update_offline, update_online
 
 __all__ = [
     "And", "Believes", "CertainAgent", "Formula", "Implies", "Not", "Or",
@@ -22,6 +21,5 @@ __all__ = [
     "holds_at", "holds_for_agent", "holds_globally", "presence_at", "sat",
     "DocumentError", "doc_to_model", "dumps_dot", "dumps_model", "export_dot",
     "load_model", "save_model",
-    "UpdateResult", "UpdateSpec", "apply_update", "lie_offline", "lie_online",
-    "update_offline", "update_online",
+    "UpdateResult", "lie_offline", "lie_online", "update_offline", "update_online",
 ]

@@ -30,7 +30,7 @@ from . import frames, serialize
 from .formulas import ParseError, parse
 from .model import KripkeModel, ModelError, StateId, edge_count
 from .semantics import holds_at, holds_for_agent, holds_globally
-from .updates import UpdateSpec, apply_update
+from .updates import lie_offline, lie_online, update_offline, update_online
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,21 +64,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_upd = sub.add_parser("update", help="apply an ontological update")
     upd = p_upd.add_subparsers(dest="kind", required=True)
 
+    # Each kind names the operator call it makes.  The operator is looked
+    # up when the call runs, not when the cached parser is built, so that
+    # rebinding its name (as a tracer does) takes effect.
     k_off = upd.add_parser("offline", help="agent goes offline")
     k_off.add_argument("target", metavar="J")
+    k_off.set_defaults(apply=lambda model, args: update_offline(model, args.target))
 
     k_on = upd.add_parser("online", help="agent comes online")
     k_on.add_argument("target", metavar="J")
     k_on.add_argument("--locals", nargs="+", required=True, metavar="S")
+    k_on.set_defaults(apply=lambda model, args: update_online(model, args.target,
+                                                              _locals(args)))
 
     k_loff = upd.add_parser("lie-offline", help="untruthful offline announcement")
     k_loff.add_argument("--liar", required=True, metavar="I")
     k_loff.add_argument("--target", required=True, metavar="J")
+    k_loff.set_defaults(apply=lambda model, args: lie_offline(model, args.liar, args.target))
 
     k_lon = upd.add_parser("lie-online", help="untruthful online announcement")
     k_lon.add_argument("--liar", required=True, metavar="I")
     k_lon.add_argument("--new", dest="target", required=True, metavar="J")
     k_lon.add_argument("--locals", nargs="+", required=True, metavar="S")
+    k_lon.set_defaults(apply=lambda model, args: lie_online(model, args.liar, args.target,
+                                                            _locals(args)))
 
     for k in (k_off, k_on, k_loff, k_lon):
         k.add_argument("-o", "--output", metavar="OUT",
@@ -130,15 +139,13 @@ def _cmd_check(model: KripkeModel, args, out) -> int:
     return 0
 
 
+def _locals(args) -> frozenset[StateId]:
+    """The `--locals` states, parsed before the operator runs."""
+    return frozenset(StateId.parse(s) for s in args.locals)
+
+
 def _cmd_update(model: KripkeModel, args, out) -> int:
-    spec = UpdateSpec(
-        kind=args.kind.replace("-", "_"),
-        target=args.target,
-        liar=getattr(args, "liar", None),
-        new_locals=(frozenset(StateId.parse(s) for s in args.locals)
-                    if getattr(args, "locals", None) else None),
-    )
-    result = apply_update(model, spec)
+    result = args.apply(model, args)
     print(f"update {args.kind} ({args.target}): "
           f"{len(model.index.order)} -> {len(result.model.index.order)} states, "
           f"{len(result.discarded_states)} discarded", file=out)

@@ -17,14 +17,11 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from collections.abc import Iterable
-from operator import itemgetter
 
 from .formulas import CertainAgent
 from .model import (LINEAGE_TAGS, STAY, Agent, KripkeModel, ModelError, ModelIndex, StateId,
                     Wiring, carrier, edge_count)
 from .semantics import holds_for_agent
-
-UPDATE_KINDS = ("offline", "online", "lie_offline", "lie_online")
 
 # A lie has one event per lineage tag, "act" and "shift".  Informed agents
 # live in act and keep their edges there; the misinformed live in shift, and
@@ -32,33 +29,6 @@ UPDATE_KINDS = ("offline", "online", "lie_offline", "lie_online")
 # edges, except the target of an offline lie, which has none there.
 INFORMED: Wiring = (0, (0, 1))
 MISINFORMED: Wiring = (1, (1, 1))
-
-
-class UpdateSpec(tuple):
-    """Parameters of one ontological update, `(kind, target, liar,
-    new_locals)`: checked however it is built, pickles and copies too."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, target: Agent, liar: Agent | None = None,
-                new_locals: frozenset[StateId] | None = None) -> "UpdateSpec":
-        if kind not in UPDATE_KINDS:
-            raise ModelError(f"unknown update kind: {kind}")
-        needs_liar = kind in ("lie_offline", "lie_online")
-        if needs_liar != (liar is not None):
-            raise ModelError(f"update {kind}: liar {'required' if needs_liar else 'not allowed'}")
-        needs_locals = kind in ("online", "lie_online")
-        if needs_locals != (new_locals is not None):
-            raise ModelError(f"update {kind}: new_locals {'required' if needs_locals else 'not allowed'}")
-        return tuple.__new__(cls, (kind, target, liar, new_locals))
-
-    kind, target, liar, new_locals = (property(itemgetter(k)) for k in range(4))
-
-    def __reduce__(self):  # at every pickle protocol, through `__new__`
-        return type(self), tuple(self)
-
-    def __repr__(self) -> str:
-        return "UpdateSpec(kind={!r}, target={!r}, liar={!r}, new_locals={!r})".format(*self)
 
 
 UpdateResult = namedtuple("UpdateResult",
@@ -141,16 +111,6 @@ def _product(model: KripkeModel, tags: tuple[str | None, ...],
     discarded = frozenset(s if tag is None else s.tagged(tag) for tag, m in zip(tags, kept)
                           if m != idx.full for s in idx.states_of(idx.full & ~m))
     return UpdateResult(after, discarded, *_edge_diff(model, after))
-
-
-def apply_update(model: KripkeModel, spec: UpdateSpec) -> UpdateResult:
-    if spec.kind == "offline":
-        return update_offline(model, spec.target)
-    if spec.kind == "online":
-        return update_online(model, spec.target, spec.new_locals)
-    if spec.kind == "lie_offline":
-        return lie_offline(model, spec.liar, spec.target)
-    return lie_online(model, spec.liar, spec.target, spec.new_locals)
 
 
 def update_offline(model: KripkeModel, j: Agent) -> UpdateResult:

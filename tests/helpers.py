@@ -128,6 +128,25 @@ def random_formula(rng: random.Random, agents, props, depth,
     return {"and": And, "or": Or, "implies": Implies}[kind](left, right)
 
 
+def random_formula_dag(rng: random.Random, agents, props, nodes):
+    """Random formula whose subterms are shared: each of `nodes` nodes takes
+    its operands from the last three formulas made, atoms first, so one
+    operand often sits under several parents, some of them under a B."""
+    agents, props = sorted(agents), sorted(props)
+    pool = [Prop(p) for p in props]
+    pool.append(rng.choice([CertainAgent, PossibleAgent])(rng.choice(agents), rng.choice(agents)))
+    for _ in range(nodes):
+        kind = rng.choice(["not", "believes", "believes", "and", "or", "implies"])
+        if kind == "not":
+            pool.append(Not(rng.choice(pool[-3:])))
+        elif kind == "believes":
+            pool.append(Believes(rng.choice(agents), rng.choice(pool[-3:])))
+        else:
+            make = {"and": And, "or": Or, "implies": Implies}[kind]
+            pool.append(make(rng.choice(pool[-3:]), rng.choice(pool[-3:])))
+    return pool[-1]
+
+
 IDENTS = ["p", "q", "r_1", "m", "f", "g", "B", "C", "Possibly"]
 
 

@@ -34,14 +34,20 @@ def test_tracer_installs_and_uninstalls():
 def test_traced_updates_count_the_edges_they_write(tmp_path):
     # Each CLI update is one span, and `updates.edges_out` counts the
     # edges of the models the updates return, which are the ones written.
+    # The parser is built before the tracer is installed, as in a process
+    # whose earlier commands ran untraced: an update the parser bound then
+    # would go uncounted.
     src = str(tmp_path / "in.json")
     shutil.copy(fixture_path("figure2_minus_g"), src)
     steps = {"update_online": ["online", "g", "--locals", "3"],
-             "lie_online": ["lie-online", "--liar", "m", "--new", "g", "--locals", "3"]}
+             "lie_online": ["lie-online", "--liar", "m", "--new", "g", "--locals", "3"],
+             "update_offline": ["offline", "f"],
+             "lie_offline": ["lie-offline", "--liar", "m", "--target", "f"]}
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracer = tracing.Tracer()
+    assert cli.main([src, "show"], out=io.StringIO()) == 0
     try:
         tracer.install()
         for name, argv in steps.items():

@@ -10,8 +10,8 @@ from epk import (KripkeModel, ModelError, StateId, holds_at, holds_for_agent,
 from epk.formulas import And, Believes, CertainAgent, Implies, Not, Or, PossibleAgent, Prop
 from epk.frames import check_properties
 from epk.semantics import _least_failure
-from helpers import (best_time, figure2, random_formula, random_local_kd45_model,
-                     random_sparse_model)
+from helpers import (best_time, figure2, random_formula, random_formula_dag,
+                     random_local_kd45_model, random_sparse_model)
 
 
 def S(name):
@@ -86,16 +86,29 @@ class TestSat:
         assert holds_at(m, S("1"), And(Believes("f", g), Not(g))) is True
         assert holds_at(m, S("3"), And(Believes("f", g), Not(g))) is False
 
-    def test_shared_operand_of_two_connectives_is_asked_at_both_needs(self):
-        # g is the left operand of an And asked at the point and of an And
-        # asked at the point's b-successors: its need is the union of the
-        # two.  Only a pointed query shows it; a global one needs every state.
+    @pytest.mark.parametrize("with_g", [lambda g, h: And(g, h), lambda g, h: And(h, g)],
+                             ids=["left", "right"])
+    def test_shared_operand_of_two_connectives_is_asked_at_both_needs(self, with_g):
+        # g is the same operand, left or right, of an And asked at the point
+        # and of an And asked at the point's b-successors: its need is the
+        # union of the two.  Only a pointed query shows it; a global one
+        # needs every state.
         g = Believes("a", Prop("p"))
-        f = Or(And(g, Prop("q")), Believes("b", And(g, Prop("r"))))
+        f = Or(with_g(g, Prop("q")), Believes("b", with_g(g, Prop("r"))))
         for seed in range(200):
             m = random_sparse_model(random.Random(seed), 30)
             for s in m.states:
                 assert holds_at(m, s, f) == oracles.eval_at(m, s, f), (seed, s)
+
+    def test_pointed_sat_agrees_with_oracle_on_formula_dags(self):
+        # Operands shared under different parents, on either side of a
+        # connective or under a B, are asked at the union of their needs.
+        for seed in range(300):
+            rng = random.Random(seed)
+            m = random_sparse_model(rng, 30)
+            f = random_formula_dag(rng, m.agents, m.props, 8)
+            for k, s in enumerate(m.index.order):
+                assert bool(sat(m, f, 1 << k)) == oracles.eval_at(m, s, f), (seed, s)
 
     def test_leftmost_unknown_symbol_is_reported(self):
         with pytest.raises(ModelError, match="zzz"):

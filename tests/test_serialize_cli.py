@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 
 import oracles
 from epk import (DocumentError, KripkeModel, ModelError, StateId, doc_to_model, dumps_dot,
-                 dumps_model, export_dot, lie_online, load_model, save_model, serialize,
-                 update_online)
+                 dumps_model, export_dot, lie_offline, lie_online, load_model, save_model,
+                 serialize, update_offline, update_online)
 from epk import cli
 from epk.cli import main
 from helpers import figure2, fixture_path, random_sparse_model
@@ -745,11 +746,47 @@ class TestCli:
         ["x.json", "update", "online", "j"],
         ["x.json", "validate", "--mode", "sideways"],
         [],
-    ], ids=["command", "missing-value", "missing-option", "bad-choice", "nothing"])
+        ["x.json", "update", "lie-offline", "--target", "g"],
+        ["x.json", "update", "lie-online", "--new", "z", "--locals", "3"],
+        ["x.json", "update", "offline", "g", "--locals", "3"],
+        ["x.json", "update", "lie-offline", "--liar", "m", "--target", "g", "--locals", "3"],
+        ["x.json", "update", "bogus", "g"],
+        ["x.json", "update", "offline", "g", "--liar", "m"],
+    ], ids=["command", "missing-value", "missing-option", "bad-choice", "nothing",
+            "lie-offline-no-liar", "lie-online-no-liar", "offline-locals", "lie-offline-locals",
+            "unknown-update", "offline-liar"])
     def test_usage_errors_return_2_and_write_to_err(self, argv):
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage: epk") and "error:" in err
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("kind", ["offline", "online", "lie-offline", "lie-online"])
+    def test_each_update_writes_what_its_operator_returns(self, tmp_path, kind, name):
+        # Each subcommand hands its arguments to its own operator: the liar
+        # and the target in their places, the --locals names as states.
+        m = load_model(fixture_path(name))
+        liar, target = sorted(m.agents)[0], sorted(m.agents)[-1]
+        names = sorted(str(s) for s in m.states)[:2]
+        states = {S(n) for n in names}
+        argv, call = {
+            "offline": ([target], lambda: update_offline(m, target)),
+            "online": (["z", "--locals", *names], lambda: update_online(m, "z", states)),
+            "lie-offline": (["--liar", liar, "--target", target],
+                            lambda: lie_offline(m, liar, target)),
+            "lie-online": (["--liar", liar, "--new", "z", "--locals", *names],
+                           lambda: lie_online(m, liar, "z", states)),
+        }[kind]
+        out = tmp_path / "out.json"
+        code, text, _ = run_cli(fixture_path(name), "update", kind, *argv, "-o", str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = call()
+        shown = "z" if kind.endswith("online") else target
+        assert (code, text.splitlines()[0]) == (0, f"update {kind} ({shown}): "
+                                                   f"{len(m.states)} -> {len(res.model.states)} "
+                                                   f"states, {len(res.discarded_states)} discarded")
+        assert out.read_text() == dumps_model(res.model)
 
     def test_help_goes_to_out_and_returns_0(self):
         code, out, err = run_cli("--help")

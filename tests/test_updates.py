@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from epk import (KripkeModel, ModelError, StateId, UpdateResult, UpdateSpec, apply_update,
-                 holds_for_agent, lie_offline, lie_online, parse, update_offline,
-                 update_online)
+from epk import (KripkeModel, ModelError, StateId, UpdateResult, holds_for_agent, lie_offline,
+                 lie_online, parse, update_offline, update_online)
 from helpers import figure2, figure2_minus_g, random_formula, random_local_kd45_model
 
 
@@ -22,72 +21,6 @@ def load_cube3():
     from epk import load_model
     from helpers import fixture_path
     return load_model(fixture_path("cube3"))
-
-
-class TestUpdateSpec:
-    def test_lie_kinds_need_a_liar(self):
-        with pytest.raises(ModelError, match="liar"):
-            UpdateSpec(kind="lie_offline", target="j")
-
-    def test_offline_takes_no_locals(self):
-        with pytest.raises(ModelError, match="new_locals"):
-            UpdateSpec(kind="offline", target="j", new_locals=frozenset([S("1")]))
-
-    def test_apply_dispatch(self):
-        res = apply_update(figure2(), UpdateSpec(kind="offline", target="g"))
-        assert "g" not in res.model.agents
-
-    @pytest.mark.parametrize("make, message", [
-        (lambda: UpdateSpec("bogus", "j"), "unknown update kind: bogus"),
-        (lambda: UpdateSpec(kind="bogus", target="j"), "unknown update kind: bogus"),
-        (lambda: UpdateSpec("lie_online", "j", None, frozenset()),
-         "update lie_online: liar required"),
-        (lambda: UpdateSpec("offline", "j", "i"), "update offline: liar not allowed"),
-        (lambda: UpdateSpec("online", "j"), "update online: new_locals required"),
-        (lambda: UpdateSpec(kind="lie_offline", target="j", liar="i", new_locals=frozenset()),
-         "update lie_offline: new_locals not allowed"),
-    ])
-    def test_positional_and_keyword_builds_are_checked(self, make, message):
-        with pytest.raises(ModelError) as e:
-            make()
-        assert str(e.value) == message
-
-    @pytest.mark.parametrize("clone", [
-        lambda s: pickle.loads(pickle.dumps(s)),
-        lambda s: pickle.loads(pickle.dumps(s, pickle.HIGHEST_PROTOCOL)),
-        copy.copy,
-        copy.deepcopy,
-    ], ids=["pickle", "pickle-highest", "copy", "deepcopy"])
-    def test_clones_are_equal(self, clone):
-        spec = UpdateSpec(kind="lie_online", target="z", liar="m", new_locals=frozenset([S("3")]))
-        other = clone(spec)
-        assert type(other) is UpdateSpec and other == spec and repr(other) == repr(spec)
-        assert repr(spec) == ("UpdateSpec(kind='lie_online', target='z', liar='m', "
-                              "new_locals=frozenset({StateId('3')}))")
-
-    def test_replace_and_make_are_checked_where_they_exist(self):
-        spec = UpdateSpec("offline", "g")
-        if hasattr(spec, "_replace"):
-            assert spec._replace(target="f") == UpdateSpec("offline", "f")
-            with pytest.raises(ModelError, match="liar required"):
-                spec._replace(kind="lie_offline")
-        if hasattr(UpdateSpec, "_make"):
-            assert UpdateSpec._make(["offline", "g", None, None]) == spec
-            with pytest.raises(ModelError, match="unknown update kind: bogus"):
-                UpdateSpec._make(["bogus", "g", None, None])
-
-    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
-    def test_unpickling_checks_the_spec_again(self, protocol):
-        data = pickle.dumps(UpdateSpec("offline", "g"), protocol)
-        assert data.count(b"offline") == 1
-        with pytest.raises(ModelError, match="unknown update kind: offlinX"):
-            pickle.loads(data.replace(b"offline", b"offlinX"))
-
-    def test_fields_cannot_be_assigned(self):
-        spec = UpdateSpec("offline", "g")
-        with pytest.raises(AttributeError):
-            spec.kind = "online"
-        assert spec.kind == "offline"
 
 
 class TestUpdateResult:
