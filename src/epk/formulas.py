@@ -2,10 +2,7 @@
 
 Grammar (ASCII):
 
-    formula     := implication
-    implication := disjunction ( "->" implication )?
-    disjunction := conjunction ( "|" conjunction )*
-    conjunction := unary ( "&" unary )*
+    formula     := unary ( ( "->" | "|" | "&" ) unary )*
     unary       := "~" unary
                  | "B" "[" ident "]" unary
                  | "C" "[" ident "," ident "]"
@@ -14,13 +11,17 @@ Grammar (ASCII):
                  | ident
     ident       := [A-Za-z_][A-Za-z0-9_]*
 
+The connectives bind from loosest to tightest as listed, by their levels
+in `_CONNECTIVES`; "->" groups to the right, "|" and "&" to the left.
 `B`, `C`, `P` act as keywords only when immediately followed by "[";
 otherwise they are ordinary proposition names.  Runs of `~` and `B[i]`
 may be of any length; parentheses nest at most `MAX_PAREN_DEPTH` deep.
 
-`parse` reads the text into tokens with one regex scan, checks that it
-read every non-space character, and descends the grammar by index over
-the token list; a token's position is found only for a `ParseError`.
+`parse` reads the text into tokens with one regex scan and checks that
+it read every non-space character.  Over the token list, by index, one
+loop reads unary formulas and joins them by operator precedence, and
+only parentheses recurse; a token's position is found only for a
+`ParseError`.
 Nodes are immutable slotted objects, each built by a plain `__init__`.
 """
 
@@ -36,9 +37,10 @@ class ParseError(ValueError):
 
 
 class _Node:
-    """What every formula node shares: fields that cannot be assigned, and
-    equality, hashing and printing that walk the formula with an explicit
-    stack, so any nesting depth works.
+    """What every formula node shares: fields that cannot be assigned,
+    a stored hash, and printing that walks the formula with an explicit
+    stack, so any nesting depth works.  Equality compares the stored
+    hashes and then the `repr`s, which name every class and field.
 
     `__init__` stores the fields and the hash of the class and fields, in
     which a child is its stored hash.  String hashes are salted per
@@ -59,20 +61,7 @@ class _Node:
     def __eq__(self, other):
         if not isinstance(other, _Node):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            f, g = stack.pop()
-            if f is g:
-                continue
-            if type(f) is not type(g) or f._hash != g._hash:
-                return False
-            for name in f.__match_args__:
-                x, y = getattr(f, name), getattr(g, name)
-                if isinstance(x, _Node):
-                    stack.append((x, y))
-                elif x != y:
-                    return False
-        return True
+        return self is other or (self._hash == other._hash and repr(self) == repr(other))
 
     def __repr__(self) -> str:
         out = []
@@ -172,6 +161,18 @@ _TOKEN_RE = re.compile(rf"\s*(->|[~&|()\[\],]|{IDENT.pattern})")
 _NOT_NAMES = frozenset(["", "->", "~", "&", "|", "(", ")", "[", "]", ","])
 
 
+# Binary connective -> (its node class, its level); a higher level binds
+# tighter.
+_CONNECTIVES = {"->": (Implies, 1), "|": (Or, 2), "&": (And, 3)}
+
+# Binary node class -> (its level, its symbol, and the least levels its left
+# and right operands may have without parentheses): "->" groups to the
+# right, "&" and "|" to the left.
+_BINARY = {cls: (level, symbol, *((level + 1, level) if cls is Implies else (level, level + 1)))
+           for symbol, (cls, level) in _CONNECTIVES.items()}
+_UNARY = 4  # the level of a prefix operator's operand, above every connective's
+
+
 class _Fault(Exception):
     """A syntax error at token `args[1]`; `parse` works out its position."""
 
@@ -180,31 +181,24 @@ def _expected(what: str, toks: list[str], i: int) -> _Fault:
     return _Fault(f"expected {what}, found {toks[i] or 'end of input'!r}", i)
 
 
-def _implication(toks: list[str], i: int, depth: int) -> tuple[Formula, int]:
-    f, i = _disjunction(toks, i, depth)
-    parts = [f]
-    while toks[i] == "->":
-        f, i = _disjunction(toks, i + 1, depth)
-        parts.append(f)
-    for g in reversed(parts[:-1]):  # "->" associates to the right
-        f = Implies(g, f)
-    return f, i
-
-
-def _disjunction(toks: list[str], i: int, depth: int) -> tuple[Formula, int]:
-    f, i = _conjunction(toks, i, depth)
-    while toks[i] == "|":
-        g, i = _conjunction(toks, i + 1, depth)
-        f = Or(f, g)
-    return f, i
-
-
-def _conjunction(toks: list[str], i: int, depth: int) -> tuple[Formula, int]:
-    f, i = _unary(toks, i, depth)
-    while toks[i] == "&":
-        g, i = _unary(toks, i + 1, depth)
-        f = And(f, g)
-    return f, i
+def _formula(toks: list[str], i: int, depth: int) -> tuple[Formula, int]:
+    # Operator precedence: each connective waits on a stack until the next
+    # one is read.  Then every waiting connective whose level is at least
+    # the least level that the next one's left operand may have takes the
+    # operand before it as its right operand; at the end every one does.
+    operands, pending = [], []
+    while True:
+        f, i = _unary(toks, i, depth)
+        operands.append(f)
+        cls = _CONNECTIVES.get(toks[i], (None,))[0]
+        floor = _BINARY[cls][2] if cls else 0
+        while pending and _BINARY[pending[-1]][0] >= floor:
+            right = operands.pop()
+            operands[-1] = pending.pop()(operands[-1], right)
+        if cls is None:
+            return operands[0], i
+        pending.append(cls)
+        i += 1
 
 
 def _unary(toks: list[str], i: int, depth: int) -> tuple[Formula, int]:
@@ -229,7 +223,7 @@ def _unary(toks: list[str], i: int, depth: int) -> tuple[Formula, int]:
     if tok == "(":
         if depth == MAX_PAREN_DEPTH:
             raise _Fault(f"parentheses nested more than {MAX_PAREN_DEPTH} deep", i)
-        f, i = _implication(toks, i + 1, depth + 1)
+        f, i = _formula(toks, i + 1, depth + 1)
         if toks[i] != ")":
             raise _expected("')'", toks, i)
         i += 1
@@ -262,7 +256,7 @@ def parse(text: str) -> Formula:
         raise ParseError(f"unexpected character {text[pos]!r}", pos)
     toks.append("")  # end marker
     try:
-        f, i = _implication(toks, 0, 0)
+        f, i = _formula(toks, 0, 0)
         if toks[i]:
             raise _Fault(f"unexpected trailing {toks[i]!r}", i)
     except _Fault as e:  # (message, index of the token at fault)
@@ -271,21 +265,11 @@ def parse(text: str) -> Formula:
     return f
 
 
-# Precedence levels used by the printer; higher binds tighter.
-_IMPLIES, _OR, _AND, _UNARY = 1, 2, 3, 4
-
-# Binary connective -> (its level, its symbol, the levels its left and right
-# operands are printed at).  "->" associates to the right, "&" and "|" to the left.
-_BINARY = {
-    And: (_AND, "&", _AND, _AND + 1),
-    Or: (_OR, "|", _OR, _OR + 1),
-    Implies: (_IMPLIES, "->", _IMPLIES + 1, _IMPLIES),
-}
-
-
 def unparse(f: Formula) -> str:
-    """Canonical text with minimal parentheses, so that parse(unparse(f))
-    == f, written with an explicit stack, so any nesting depth prints."""
+    """Canonical text with minimal parentheses, written with an explicit
+    stack, so any nesting depth prints.  parse(unparse(f)) == f when every
+    name in `f` is an identifier: names are printed as they are, so
+    `Prop("p & q")` prints as a conjunction."""
     out = []
     stack = [(f, 0)]  # (formula, level of its context), or (text, None)
     while stack:

@@ -39,6 +39,10 @@ FILE_FAULTS = {
         "props.json", '{"states": ["1"], "agents": ["a"], "props": ["p"], "relations": {"a": {}}, '
                       '"valuation": {}, "locals": {"a": ["1"]}}',
         "{model}: valuation must have exactly one entry per proposition"),
+    "locals without an agent": (
+        "locals.json", '{"states": ["1"], "agents": ["a", "b"], "props": [], '
+                       '"relations": {"a": {}, "b": {}}, "valuation": {}, "locals": {"a": ["1"]}}',
+        "{model}: locals must have exactly one entry per agent"),
     # JSON's \ud800 escape decodes to a lone surrogate, which no UTF-8 output can hold.
     "lone surrogate in a state": (
         "state.json", r'{"states": ["\ud800", "1"], "agents": ["a"], "props": ["p"], '

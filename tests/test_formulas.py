@@ -29,8 +29,17 @@ class TestParse:
     def test_implies_right_associative(self):
         assert parse("p -> q -> r") == Implies(Prop("p"), Implies(Prop("q"), Prop("r")))
 
+    def test_and_and_or_group_to_the_left(self):
+        p, q, r = map(Prop, "pqr")
+        assert parse("p & q & r") == And(And(p, q), r)
+        assert parse("p | q | r") == Or(Or(p, q), r)
+
     def test_and_binds_tighter_than_or(self):
         assert parse("a & b | c") == Or(And(Prop("a"), Prop("b")), Prop("c"))
+
+    def test_three_levels_and_both_groupings_in_one_chain(self):
+        p, q, r, s, u = map(Prop, "pqrsu")
+        assert parse("p -> q | r & s -> u") == Implies(p, Implies(Or(q, And(r, s)), u))
 
     def test_unary_binds_tightest(self):
         assert parse("~B[i] p & q") == And(Not(Believes("i", Prop("p"))), Prop("q"))
@@ -147,8 +156,10 @@ class TestUnparse:
         "~" * 5000 + "p",
         "B[a] " * 5000 + "p",
         " & ".join(["p"] * 5000),   # nested to the left
+        " | ".join(["p"] * 5000),   # nested to the left
         " -> ".join(["p"] * 5000),  # nested to the right
-    ], ids=["negation", "belief", "conjunction", "implication"])
+        "p & p | p -> " * 1667 + "p",  # all three levels, nested to the right
+    ], ids=["negation", "belief", "conjunction", "disjunction", "implication", "mixed"])
     def test_deep_formulas_print(self, text):
         assert unparse(parse(text)) == text
 
@@ -157,7 +168,9 @@ DEEP = {
     "negation": "~" * 5000 + "p",
     "belief": "B[a] " * 5000 + "p",
     "conjunction": " & ".join(["p"] * 5000),
+    "disjunction": " | ".join(["p"] * 5000),
     "implication": " -> ".join(["p"] * 5000),
+    "mixed": "p & p | p -> " * 1667 + "p",
 }
 
 
@@ -171,7 +184,7 @@ class TestDeepFormulas:
         assert {f: 1}[g] == 1
         r = repr(f)
         assert r.startswith(type(f).__name__ + "(") and "Prop(name='p')" in r
-        nodes = sum(text.count(sym) for sym in ("~", "B[", "&", "->", "p"))
+        nodes = sum(text.count(sym) for sym in ("~", "B[", "&", "|", "->", "p"))
         assert r.count("(") == r.count(")") == nodes
 
     def test_repr_is_that_of_the_fields(self):

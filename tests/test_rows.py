@@ -93,6 +93,13 @@ class TestEdgeView:
         assert isinstance(m.relations["m"] & loops, frozenset)
         assert frozenset(m.relations["m"]) == m.relations["m"]
 
+    def test_repr_lists_the_edges_in_order(self):
+        m = KripkeModel.build(states=["1", "2"], agents=["a"], props=[],
+                              relations={"a": [("2", "2"), ("1", "2")]}, valuation={},
+                              locals={"a": ["1"]})
+        assert repr(m.relations["a"]) == (
+            "Edges([(StateId('1'), StateId('2')), (StateId('2'), StateId('2'))])")
+
     def test_relations_are_read_only(self):
         m = load_model(fixture_path("figure2"))
         with pytest.raises(TypeError):
