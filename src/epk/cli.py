@@ -52,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--mode", choices=["global", "local"], default="global")
     p_val.add_argument("--require-kd45", action="store_true",
                        help="exit 1 unless every agent's report is KD45")
+    p_val.set_defaults(run=_cmd_validate)
 
     p_chk = sub.add_parser("check", help="evaluate a formula")
     scope = p_chk.add_mutually_exclusive_group(required=True)
@@ -60,8 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
     scope.add_argument("--global", dest="global_", action="store_true")
     p_chk.add_argument("formula")
     p_chk.add_argument("--expect", choices=["true", "false"])
+    p_chk.set_defaults(run=_cmd_check)
 
     p_upd = sub.add_parser("update", help="apply an ontological update")
+    p_upd.set_defaults(run=_cmd_update)
     upd = p_upd.add_subparsers(dest="kind", required=True)
 
     # Each kind names the operator call it makes.  The operator is looked
@@ -97,8 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dot = sub.add_parser("export-dot", help="write a Graphviz rendering")
     p_dot.add_argument("-o", "--output", required=True, metavar="OUT")
+    p_dot.set_defaults(run=_cmd_export_dot)
 
-    sub.add_parser("show", help="summarize the model")
+    sub.add_parser("show", help="summarize the model").set_defaults(run=_cmd_show)
     return ap
 
 
@@ -115,14 +119,10 @@ def _report_lines(rep: frames.FramePropertyReport, mode: str):
 
 def _cmd_validate(model: KripkeModel, args, out) -> int:
     reports = frames.classify_model(model, args.mode)
-    all_kd45 = True
     for a in sorted(reports):
         for line in _report_lines(reports[a], args.mode):
             print(line, file=out)
-        all_kd45 = all_kd45 and frames.is_kd45(reports[a])
-    if args.require_kd45 and not all_kd45:
-        return 1
-    return 0
+    return int(args.require_kd45 and not all(map(frames.is_kd45, reports.values())))
 
 
 def _cmd_check(model: KripkeModel, args, out) -> int:
@@ -134,9 +134,7 @@ def _cmd_check(model: KripkeModel, args, out) -> int:
     else:
         value = holds_globally(model, f)
     print("true" if value else "false", file=out)
-    if args.expect is not None and (args.expect == "true") != value:
-        return 1
-    return 0
+    return int(args.expect is not None and (args.expect == "true") != value)
 
 
 def _locals(args) -> frozenset[StateId]:
@@ -152,8 +150,8 @@ def _cmd_update(model: KripkeModel, args, out) -> int:
     if result.discarded_states:
         print("  discarded: " + ", ".join(sorted(s.name for s in result.discarded_states)),
               file=out)
-    for a in sorted(set(result.added_edges) | set(result.removed_edges)):
-        add, rem = result.added_edges.get(a, 0), result.removed_edges.get(a, 0)
+    for a in sorted(result.added_edges):
+        add, rem = result.added_edges[a], result.removed_edges[a]
         if add or rem:
             print(f"  edges[{a}]: +{add} -{rem}", file=out)
     out.flush()  # the summary comes before a document written to standard output
@@ -164,7 +162,13 @@ def _cmd_update(model: KripkeModel, args, out) -> int:
     return 0
 
 
-def _cmd_show(model: KripkeModel, out) -> int:
+def _cmd_export_dot(model: KripkeModel, args, out) -> int:
+    serialize.export_dot(model, args.output)
+    print(f"wrote {args.output}", file=out)
+    return 0
+
+
+def _cmd_show(model: KripkeModel, args, out) -> int:
     idx = model.index
     print(f"states ({len(idx.order)}): " + ", ".join(sorted(s.name for s in idx.order)), file=out)
     print(f"agents ({len(model.agents)}): " + ", ".join(sorted(model.agents)), file=out)
@@ -172,9 +176,8 @@ def _cmd_show(model: KripkeModel, out) -> int:
     for a in sorted(model.agents):
         loc = ", ".join(sorted(s.name for s in idx.states_of(idx.locals[a])))
         print(f"  I({a}) = {{{loc}}}  |R({a})| = {edge_count(idx.rows[a])}", file=out)
-    if model.meta:
-        for k in sorted(model.meta):
-            print(f"meta.{k}: {model.meta[k]}", file=out)
+    for k in sorted(model.meta):
+        print(f"meta.{k}: {model.meta[k]}", file=out)
     return 0
 
 
@@ -194,18 +197,7 @@ def _run(argv, out, err) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        model = serialize.load_model(args.model)
-        if args.command == "validate":
-            return _cmd_validate(model, args, out)
-        if args.command == "check":
-            return _cmd_check(model, args, out)
-        if args.command == "update":
-            return _cmd_update(model, args, out)
-        if args.command == "export-dot":
-            serialize.export_dot(model, args.output)
-            print(f"wrote {args.output}", file=out)
-            return 0
-        return _cmd_show(model, out)
+        return args.run(serialize.load_model(args.model), args, out)
     except (ModelError, ParseError, serialize.DocumentError) as e:
         print(f"epk: error: {e}", file=err)
     except UnicodeEncodeError as e:  # an output whose encoding cannot hold a name

@@ -5,9 +5,9 @@ events, pruning, tagged replication) that the update operators use.
 A model is its `ModelIndex`: its states numbered in sorted order, every
 agent's relation as successor rows (one bitmask per state over that
 numbering) and every set of states as a mask.  `KripkeModel(index, meta)`
-is the one constructor, with meta mapping strings to strings, and
-`KripkeModel.build` the one reader of state names and edges.  Inside the
-package a model is read through its index: loading, updates, pruning,
+is the one constructor and the one check of names, local states and meta,
+and `KripkeModel.build` the one reader of state names and edges.  Inside
+the package a model is read through its index: loading, updates, pruning,
 frame checks, saving, DOT export and `show` pass rows and masks along.
 `valuation`, `locals` and `relations` are views for callers outside it,
 built on first read; `model.relations[a]` is a read-only set of (s, t)
@@ -104,25 +104,6 @@ def _once(items: Iterable, what: str) -> list:
         twice = next(x for x in items if x in seen or seen.add(x))
         raise ModelError(f"{what} {twice} is listed twice")
     return items
-
-
-def check_symbols(agents: Iterable[Agent], props: Iterable[Prop], relations: Iterable[Agent],
-                  valuation: Iterable[Prop], locals: Iterable[Agent]) -> None:
-    """Agent and proposition names are identifiers of the formula grammar
-    (`formulas.IDENT`), so a formula can name each of them; `relations`
-    and `locals` have one entry per agent, `valuation` one per proposition
-    (each given by its keys)."""
-    agents, props = set(agents), set(props)
-    for a in agents:
-        _check_token(a, "agent")
-    for p in props:
-        _check_token(p, "proposition")
-    if set(relations) != agents:
-        raise ModelError("relations must have exactly one entry per agent")
-    if set(locals) != agents:
-        raise ModelError("locals must have exactly one entry per agent")
-    if set(valuation) != props:
-        raise ModelError("valuation must have exactly one entry per proposition")
 
 
 def pack(flags: Iterable[object]) -> int:
@@ -226,12 +207,13 @@ class ModelIndex:
 
     def mask(self, states: Iterable[StateId]) -> int:
         """The bitmask of `states`; the first that is not numbered here
-        raises `ModelError`."""
+        raises `ModelError`, which calls a string a name, not a state."""
         bit, m = self.bit, 0
         for s in states:
             k = bit.get(s)
             if k is None:
-                raise ModelError(f"unknown state: {s}")
+                raise ModelError(f"{s!r} is a state name, not a StateId"
+                                 if isinstance(s, str) else f"unknown state: {s}")
             m |= 1 << k
         return m
 
@@ -390,9 +372,17 @@ class KripkeModel:
     def __init__(self, index: ModelIndex, meta: Mapping[str, str] | None = None):
         """The model whose states, relations, valuation and local states
         `index` holds; its agents are the keys of `index.rows` and its
-        propositions those of `index.valuation`.  Only names, local states
-        and meta are checked: the masks are taken to lie within the states."""
-        check_symbols(index.rows, index.valuation, index.rows, index.valuation, index.locals)
+        propositions those of `index.valuation`.  This is the one check of
+        names, local states and meta: agent and proposition names are
+        identifiers of the formula grammar (`formulas.IDENT`), so a formula
+        can name each of them, and `index.locals` holds one non-empty mask
+        per agent.  The masks are taken to lie within the states."""
+        for a in index.rows:
+            _check_token(a, "agent")
+        for p in index.valuation:
+            _check_token(p, "proposition")
+        if index.locals.keys() != index.rows.keys():
+            raise ModelError("locals must have exactly one entry per agent")
         for a in index.rows:
             if not index.locals[a]:
                 raise ModelError(f"local states of agent {a} must be non-empty")
@@ -409,19 +399,23 @@ class KripkeModel:
     def build(cls, states, agents, props, relations, valuation, locals, meta=None):
         """The validated model of plain values.  States and every mention
         of one are names or `StateId`s; each relation is a mapping
-        {s: [t, ...]} or an iterable of (s, t) pairs.  A state, agent or
-        proposition listed twice is refused, not merged.
+        {s: [t, ...]} or an iterable of (s, t) pairs.  Only what the index
+        cannot show is checked here: a state, agent or proposition listed
+        twice is refused, not merged, and `agents` and `props` must be the
+        keys of `relations` and `valuation`; the constructor checks the rest.
 
         Each state is parsed once and given its bit in the sorted
         numbering, and each source's targets are ORed into its row: no
         edge object is made."""
         ids = _once((x if isinstance(x, StateId) else StateId.parse(x) for x in states), "state")
-        check_symbols(_once(agents, "agent"), _once(props, "proposition"),
-                      relations, valuation, locals)
+        agents, props = _once(agents, "agent"), _once(props, "proposition")
+        if set(relations) != set(agents):
+            raise ModelError("relations must have exactly one entry per agent")
+        if set(valuation) != set(props):
+            raise ModelError("valuation must have exactly one entry per proposition")
         order = tuple(sorted(ids))
-        bit = dict(zip(order, range(len(order))))
         one = {}
-        for s, k in bit.items():
+        for k, s in enumerate(order):
             one[s] = one[s.name] = 1 << k
         made: dict[tuple, int] = {}
 
@@ -442,8 +436,7 @@ class KripkeModel:
             each(relations, lambda rel: read_rows(rel, one, len(order), made),
                  "relations.{} uses undeclared state {}"),
             each(valuation, mask, "valuation of {} names undeclared state {}"),
-            each(locals, mask, "local state {1} of agent {0} is undeclared"),
-            bit), meta)
+            each(locals, mask, "local state {1} of agent {0} is undeclared")), meta)
 
     @cached_property
     def states(self) -> frozenset[StateId]:

@@ -58,8 +58,9 @@ _LISTED = object()  # on sat's stack, above a node whose children are listed
 
 def sat(model: KripkeModel, f: Formula, within: int | None = None) -> int:
     """The states of `within` where `f` holds, as a bitmask over
-    `model.index`; `within` is a mask over the same numbering, every state
-    by default, and one with bits outside the model raises `ModelError`.
+    `model.index`; `within` is an `int` mask over the same numbering, every
+    state by default.  Anything else, a `bool` or a mask with bits outside
+    the model, raises `ModelError`.
 
     Three passes over the formula's subterm DAG, none recursive, each
     dispatching once per node on its exact class.  Nodes are keyed by
@@ -88,7 +89,7 @@ def sat(model: KripkeModel, f: Formula, within: int | None = None) -> int:
     full = idx.full
     if within is None:
         within = full
-    elif not isinstance(within, int) or not 0 <= within <= full:
+    elif type(within) is not int or not 0 <= within <= full:
         raise ModelError(f"not a mask of the model's {len(idx.order)} states: {within!r}")
     # The right index of C/P is deliberately exempt: see module docstring.
     post, seen = [], set()

@@ -139,18 +139,14 @@ def _members(pairs: list) -> dict:
 def load_model(path: str) -> KripkeModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_members)
+            return doc_to_model(json.load(fh, object_pairs_hook=_members))
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}") from e
     except OSError as e:
         raise DocumentError(f"{path}: {e.strerror}") from e
     except RecursionError:
         raise DocumentError(f"{path}: JSON nested too deeply") from None
-    except ValueError as e:  # not UTF-8, an integer too long to convert, or a duplicate key
-        raise DocumentError(f"{path}: {e}") from e
-    try:
-        return doc_to_model(doc)
-    except DocumentError as e:
+    except ValueError as e:  # not UTF-8, a long integer, a duplicate key or a bad document
         raise DocumentError(f"{path}: {e}") from e
 
 

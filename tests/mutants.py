@@ -104,6 +104,36 @@ MUTANTS = [
      "{p: reduce(or_, (c(m) for c in carry)) for p, m in self.valuation.items()}",
      "{p: carry[0](m) for p, m in self.valuation.items()}",
      ["tests/test_updates.py::TestPreservationAndComposition"]),
+    ("M15", "the constructor drops the `locals`-key check",
+     "src/epk/model.py",
+     "if index.locals.keys() != index.rows.keys():",
+     "if False:",
+     ["tests/test_cli_contract.py"]),
+    ("M16", "the constructor drops the agent-name check",
+     "src/epk/model.py",
+     '_check_token(a, "agent")',
+     "pass",
+     ["tests/test_model.py::TestNames"]),
+    ("M17", "the constructor drops the proposition-name check",
+     "src/epk/model.py",
+     '_check_token(p, "proposition")',
+     "pass",
+     ["tests/test_cli_contract.py"]),
+    ("M18", "`build` stops comparing its agents with the keys of `relations`",
+     "src/epk/model.py",
+     "if set(relations) != set(agents):",
+     "if False:",
+     ["tests/test_model.py::TestValidation"]),
+    ("M19", "`build` stops comparing its propositions with the keys of `valuation`",
+     "src/epk/model.py",
+     "if set(valuation) != set(props):",
+     "if False:",
+     ["tests/test_cli_contract.py"]),
+    ("C1", "`show` dispatches to `_cmd_validate`",
+     "src/epk/cli.py",
+     "set_defaults(run=_cmd_show)",
+     "set_defaults(run=_cmd_validate)",
+     ["tests/test_serialize_cli.py::TestCli"]),
     ("P1", "`->` also reduced at an equal level, so it groups to the left",
      "src/epk/formulas.py",
      "(level + 1, level) if cls is Implies",

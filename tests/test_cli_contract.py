@@ -43,6 +43,27 @@ FILE_FAULTS = {
         "locals.json", '{"states": ["1"], "agents": ["a", "b"], "props": [], '
                        '"relations": {"a": {}, "b": {}}, "valuation": {}, "locals": {"a": ["1"]}}',
         "{model}: locals must have exactly one entry per agent"),
+    "relations without an agent": (
+        "relations.json", '{"states": ["1"], "agents": ["a", "b"], "props": [], '
+                          '"relations": {"a": {}}, "valuation": {}, '
+                          '"locals": {"a": ["1"], "b": ["1"]}}',
+        "{model}: relations must have exactly one entry per agent"),
+    "a bad agent name": (
+        "agent.json", '{"states": ["1"], "agents": ["a-b"], "props": [], '
+                      '"relations": {"a-b": {}}, "valuation": {}, "locals": {"a-b": ["1"]}}',
+        "{model}: bad agent name: 'a-b'"),
+    "a bad proposition name": (
+        "prop.json", '{"states": ["1"], "agents": ["a"], "props": ["p q"], '
+                     '"relations": {"a": {}}, "valuation": {"p q": []}, "locals": {"a": ["1"]}}',
+        "{model}: bad proposition name: 'p q'"),
+    "an agent listed twice": (
+        "twice.json", '{"states": ["1"], "agents": ["a", "a"], "props": [], '
+                      '"relations": {"a": {}}, "valuation": {}, "locals": {"a": ["1"]}}',
+        "{model}: agent a is listed twice"),
+    "empty local states": (
+        "empty.json", '{"states": ["1"], "agents": ["a"], "props": [], '
+                      '"relations": {"a": {}}, "valuation": {}, "locals": {"a": []}}',
+        "{model}: local states of agent a must be non-empty"),
     # JSON's \ud800 escape decodes to a lone surrogate, which no UTF-8 output can hold.
     "lone surrogate in a state": (
         "state.json", r'{"states": ["\ud800", "1"], "agents": ["a"], "props": ["p"], '
@@ -70,6 +91,11 @@ ARGUMENT_FAULTS = {
     ("unknown agent", "update lie-online"): (
         ["update", "lie-online", "--liar", "zz", "--new", "z", "--locals", "3"],
         "unknown agent: zz"),
+    ("bad agent name", "update online"): (["update", "online", "1x", "--locals", "3"],
+                                          "bad agent name: '1x'"),
+    ("bad agent name", "update lie-online"): (
+        ["update", "lie-online", "--liar", "m", "--new", "1x", "--locals", "3"],
+        "bad agent name: '1x'"),
     ("hostile formula", "check"): (["check", "--global", "(" * 5000 + "p" + ")" * 5000],
                                    "parentheses nested more than 100 deep (at position 100)"),
 }

@@ -384,12 +384,14 @@ class TestReplicate:
 
 UNKNOWN = "unknown state: 9"
 EMPTY = "new agent g needs a non-empty set of local states"
+NAME = "'1' is a state name, not a StateId"
 
 
 class TestRefusals:
     # Each refusal names the first fault in a fixed order: an unknown state
     # before an unknown agent or proposition, an unknown liar before a
-    # present newcomer, a present newcomer before its local states.
+    # present newcomer, a present newcomer before its local states.  A state's
+    # name where a StateId is asked for is called a name, not an unknown state.
     @pytest.mark.parametrize("call, message", [
         (lambda: holds_at(figure2(), S("9"), parse("p")), UNKNOWN),
         (lambda: holds_at(figure2(), S("9"), parse("zz & B[x] p")), UNKNOWN),
@@ -408,12 +410,16 @@ class TestRefusals:
         (lambda: lie_online(figure2_minus_g(), "m", "g", ()), EMPTY),
         (lambda: lie_online(figure2_minus_g(), "x", "f", [S("1")]), "unknown agent: x"),
         (lambda: lie_online(figure2_minus_g(), "x", "g", [S("9")]), "unknown agent: x"),
+        (lambda: holds_at(figure2(), "1", parse("p")), NAME),
+        (lambda: update_online(figure2_minus_g(), "g", ["1"]), NAME),
+        (lambda: prune_unreachable(figure2(), ["1"]), NAME),
     ], ids=["holds_at", "holds_at-before-symbols", "reachable_from",
             "reachable_from-state-before-agent", "reachable_from-agent", "prune_unreachable",
             "online-state", "lie_online-state", "online-present", "online-present-before-empty",
             "lie_online-present", "lie_online-liar-as-newcomer", "online-empty",
             "online-empty-iterator", "lie_online-empty", "lie_online-liar-before-present",
-            "lie_online-liar-before-state"])
+            "lie_online-liar-before-state", "holds_at-name", "online-name",
+            "prune_unreachable-name"])
     def test_message(self, call, message):
         with pytest.raises(ModelError) as caught:
             call()

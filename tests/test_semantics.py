@@ -126,7 +126,7 @@ class TestSat:
         with pytest.raises(ModelError, match="yy"):
             holds_for_agent(m, "f", parse("B[g] B[m] C[yy,m]"))
 
-    @pytest.mark.parametrize("within", [-1, 0b1000, 1 << 70, 0b1111, 1.0, "1"])
+    @pytest.mark.parametrize("within", [-1, 0b1000, 1 << 70, 0b1111, 1.0, "1", True, False])
     def test_within_outside_the_model_errors(self, within):
         with pytest.raises(ModelError, match="not a mask of the model's 3 states"):
             sat(figure2(), parse("p"), within)
