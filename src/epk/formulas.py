@@ -44,7 +44,9 @@ class _Node:
 
     `__init__` stores the fields and the hash of the class and fields, in
     which a child is its stored hash.  String hashes are salted per
-    process, so pickling and copying rebuild a node through `__init__`.
+    process, so pickling and copying rebuild a node through `__init__`,
+    from a flat list of the distinct nodes, children first (`_rebuild`):
+    like printing, that works at any depth, and shared subterms stay shared.
     """
 
     __slots__ = ("_hash",)
@@ -81,7 +83,33 @@ class _Node:
         return "".join(out)
 
     def __reduce__(self):
-        return (type(self), tuple(map(self.__getattribute__, self.__match_args__)))
+        # Flat and children first, each distinct node once, so that no
+        # depth recurses: an entry is (class, refs, *fields), where bit k
+        # of refs marks field k as the number of an earlier entry.
+        entries, number, stack = [], {}, [self]
+        while stack:
+            g = stack.pop()
+            if id(g) in number:
+                continue
+            fields = [getattr(g, name) for name in g.__match_args__]
+            kids = [x for x in fields if isinstance(x, _Node) and id(x) not in number]
+            if kids:  # g again, under its children
+                stack += (g, *kids)
+                continue
+            number[id(g)] = len(entries)
+            refs = [isinstance(x, _Node) for x in fields]
+            entries.append((type(g), sum(r << k for k, r in enumerate(refs)),
+                            *[number[id(x)] if r else x for x, r in zip(fields, refs)]))
+        return _rebuild, (tuple(entries),)
+
+
+def _rebuild(entries: tuple) -> "Formula":
+    """The formula `_Node.__reduce__` flattened into `entries`, made again
+    entry by entry through each class's `__init__`, the root last."""
+    nodes = []
+    for cls, refs, *fields in entries:
+        nodes.append(cls(*[nodes[x] if refs >> k & 1 else x for k, x in enumerate(fields)]))
+    return nodes[-1]
 
 
 _set = object.__setattr__  # past _Node.__setattr__, for __init__ only

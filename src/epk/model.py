@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Set
 from functools import cached_property, reduce
-from itertools import compress, count, groupby
+from itertools import compress, count, groupby, repeat
 from operator import itemgetter, or_
 from types import MappingProxyType
 
@@ -94,6 +94,13 @@ def _check_token(name: str, what: str) -> str:
     if not (isinstance(name, str) and IDENT.fullmatch(name)):
         raise ModelError(f"bad {what} name: {name!r}")
     return name
+
+
+def _listed(items, field: str):
+    """`items`, refusing a string, whose characters would read as names."""
+    if isinstance(items, str):
+        raise ModelError(f"{field} must be a collection, not the string {items!r}")
+    return items
 
 
 def _once(items: Iterable, what: str) -> list:
@@ -175,6 +182,16 @@ def carrier(to: list[int]) -> Callable[[int], int]:
     return carry
 
 
+def _state_text(s) -> str:
+    """The name of the state `s` is, if it is a (base, lineage) pair, or
+    else the text of `s`."""
+    try:
+        state = StateId(*s)
+        return state.name if state == s else str(s)
+    except (TypeError, ValueError):  # no pair, or not a state's (ModelError)
+        return str(s)
+
+
 # An agent's (home, links) in `ModelIndex.product`; STAY keeps it in a lone event.
 Wiring = tuple[int, tuple[int | None, ...]]
 STAY: Wiring = (0, (0,))
@@ -213,7 +230,7 @@ class ModelIndex:
             k = bit.get(s)
             if k is None:
                 raise ModelError(f"{s!r} is a state name, not a StateId"
-                                 if isinstance(s, str) else f"unknown state: {s}")
+                                 if isinstance(s, str) else f"unknown state: {_state_text(s)}")
             m |= 1 << k
         return m
 
@@ -403,12 +420,17 @@ class KripkeModel:
         cannot show is checked here: a state, agent or proposition listed
         twice is refused, not merged, and `agents` and `props` must be the
         keys of `relations` and `valuation`; the constructor checks the rest.
+        A string where names, a relation, a target list or a pair belongs
+        is refused, not read as its characters, and so is a pair whose
+        length is not 2.
 
         Each state is parsed once and given its bit in the sorted
         numbering, and each source's targets are ORed into its row: no
         edge object is made."""
-        ids = _once((x if isinstance(x, StateId) else StateId.parse(x) for x in states), "state")
-        agents, props = _once(agents, "agent"), _once(props, "proposition")
+        ids = _once((x if isinstance(x, StateId) else StateId.parse(x)
+                     for x in _listed(states, "states")), "state")
+        agents = _once(_listed(agents, "agents"), "agent")
+        props = _once(_listed(props, "props"), "proposition")
         if set(relations) != set(agents):
             raise ModelError("relations must have exactly one entry per agent")
         if set(valuation) != set(props):
@@ -419,24 +441,37 @@ class KripkeModel:
             one[s] = one[s.name] = 1 << k
         made: dict[tuple, int] = {}
 
-        def each(named, read, message):
+        def each(field, named, read, message):
             out = {}
             for name, value in named.items():
+                where = f"{field}.{name}"
                 try:
-                    out[name] = read(value)
+                    out[name] = read(_listed(value, where), where)
                 except KeyError as e:
                     raise ModelError(message.format(name, e.args[0])) from None
             return out
 
-        def mask(names) -> int:
+        def mask(names, _where) -> int:
             return reduce(or_, map(one.__getitem__, names), 0)
+
+        def rows(relation, where) -> list[int]:
+            # The shapes are tested in C; a fault found is then looked for.
+            if isinstance(relation, Mapping):
+                if any(map(isinstance, relation.values(), repeat(str))):
+                    for s, targets in relation.items():
+                        _listed(targets, f"{where}.{s}")
+            else:
+                relation = list(relation)
+                if any(map(isinstance, relation, repeat(str))) or set(map(len, relation)) - {2}:
+                    bad = next(p for p in relation if isinstance(p, str) or len(p) != 2)
+                    raise ModelError(f"{where} must hold (s, t) pairs, not {bad!r}")
+            return read_rows(relation, one, len(order), made)
 
         return cls(ModelIndex(
             order,
-            each(relations, lambda rel: read_rows(rel, one, len(order), made),
-                 "relations.{} uses undeclared state {}"),
-            each(valuation, mask, "valuation of {} names undeclared state {}"),
-            each(locals, mask, "local state {1} of agent {0} is undeclared")), meta)
+            each("relations", relations, rows, "relations.{} uses undeclared state {}"),
+            each("valuation", valuation, mask, "valuation of {} names undeclared state {}"),
+            each("locals", locals, mask, "local state {1} of agent {0} is undeclared")), meta)
 
     @cached_property
     def states(self) -> frozenset[StateId]:
@@ -487,10 +522,6 @@ class KripkeModel:
     def require_agent(self, agent: Agent) -> None:
         if agent not in self.index.rows:
             raise ModelError(f"unknown agent: {agent}")
-
-    def require_state(self, state: StateId) -> int:
-        """The number of `state`, which must be one of the model's."""
-        return self.index.mask((state,)).bit_length() - 1
 
 
 def subjective_relation(model: KripkeModel, agent: Agent) -> Edges:

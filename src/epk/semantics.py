@@ -32,8 +32,7 @@ from .model import Agent, KripkeModel, ModelError, StateId, pack, positions
 
 def presence_at(model: KripkeModel, j: Agent, state: StateId) -> bool:
     """True iff `state` has at least one j-edge; false for absent agents."""
-    k = model.require_state(state)
-    return bool(model.index.present.get(j, 0) >> k & 1)
+    return bool(model.index.present.get(j, 0) & model.index.mask((state,)))
 
 
 # A box or diamond whose need holds more than this share of the states tests
@@ -159,7 +158,7 @@ def sat(model: KripkeModel, f: Formula, within: int | None = None) -> int:
 
 def holds_at(model: KripkeModel, state: StateId, f: Formula) -> bool:
     """Truth of `f` at the pointed model (model, state)."""
-    return bool(sat(model, f, 1 << model.require_state(state)))
+    return bool(sat(model, f, model.index.mask((state,))))
 
 
 def _least_failure(model: KripkeModel, f: Formula, within: int) -> int:

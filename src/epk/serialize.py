@@ -150,23 +150,18 @@ def load_model(path: str) -> KripkeModel:
         raise DocumentError(f"{path}: {e}") from e
 
 
-def _json_block(items: list[str], depth: int) -> str:
-    """A JSON array of already encoded items, laid out as `json.dumps` lays
-    it out with `indent=2` at nesting depth `depth`."""
+def _json_block(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """A JSON array, or with `brackets` "{}" an object, of encoded items,
+    laid out as `json.dumps` lays it out with `indent=2` at depth `depth`."""
     if not items:
-        return "[]"
+        return brackets
     pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
 
 
 def _json_object(values: dict[str, str], depth: int) -> str:
-    """A JSON object of already encoded values, its keys sorted, laid out
-    as `json.dumps` lays it out with `indent=2` at nesting depth `depth`."""
-    if not values:
-        return "{}"
-    pad = "\n" + "  " * (depth + 1)
-    return ("{" + pad + ("," + pad).join(f"{_quote(k)}: {values[k]}" for k in sorted(values))
-            + "\n" + "  " * depth + "}")
+    """A JSON object of already encoded values, its keys sorted."""
+    return _json_block([f"{_quote(k)}: {values[k]}" for k in sorted(values)], depth, "{}")
 
 
 def _model_pieces(model: KripkeModel) -> Iterator[str]:
@@ -174,25 +169,22 @@ def _model_pieces(model: KripkeModel) -> Iterator[str]:
     row's text: its fields in key order, every field but the relations
     one piece, and each relation a source row at a time.
 
-    Names sort differently from states ("10" < "1@act", but state 1@act
-    comes first), so the states are ranked by name once and each name is
-    encoded once.  Relations are written straight from the successor
-    rows: sources in rank order, and the text of each distinct row's
-    target list made once, so every row of a universal block is one
-    cached string.
+    States keep their numbers in the index, but names sort differently
+    ("10" < "1@act", but state 1@act comes first), so each list of names
+    is sorted by name: the sources and `"states"` once, in `by_name`, and
+    each target list as it is written.  Each name is encoded once, and
+    the text of each distinct row's target list is made once, so every
+    row of a universal block is one cached string.
     """
     idx = model.index
-    order, n = idx.order, len(idx.order)
-    names = [s.name for s in order]
-    by_rank = sorted(range(n), key=names.__getitem__)  # bit of each rank
-    rank = [0] * n
-    for r, k in enumerate(by_rank):
-        rank[k] = r
-    quoted = [_quote(names[k]) for k in by_rank]
+    names = [s.name for s in idx.order]
+    name_of = names.__getitem__
+    by_name = sorted(range(len(names)), key=name_of)
+    quoted = list(map(_quote, names))
     agents = sorted(model.agents)
 
     def states(mask: int, depth: int = 2) -> str:
-        return _json_block([quoted[r] for r in sorted(rank[k] for k in positions(mask))], depth)
+        return _json_block([quoted[k] for k in sorted(positions(mask), key=name_of)], depth)
 
     yield '{\n  "agents": ' + _json_block([_quote(a) for a in agents], 1)
     yield ',\n  "locals": ' + _json_object({a: states(idx.locals[a]) for a in agents}, 1)
@@ -204,16 +196,16 @@ def _model_pieces(model: KripkeModel) -> Iterator[str]:
     for i, a in enumerate(agents):
         rows, sep = idx.rows[a], "\n      "
         yield ("," if i else "") + "\n    " + _quote(a) + ": {"
-        for r, k in enumerate(by_rank):
+        for k in by_name:
             row = rows[k]
             if row:
                 text = targets.get(row)
                 if text is None:
                     text = targets[row] = states(row, 3)
-                yield f"{sep}{quoted[r]}: {text}"
+                yield f"{sep}{quoted[k]}: {text}"
                 sep = ",\n      "
         yield "\n    }" if sep[0] == "," else "}"
-    yield ("\n  }" if agents else "}") + ',\n  "states": ' + _json_block(quoted, 1)
+    yield ("\n  }" if agents else "}") + ',\n  "states": ' + _json_block([quoted[k] for k in by_name], 1)
     yield (',\n  "valuation": '
            + _json_object({p: states(idx.valuation[p]) for p in model.props}, 1) + "\n}\n")
 

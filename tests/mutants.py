@@ -134,6 +134,26 @@ MUTANTS = [
      "set_defaults(run=_cmd_show)",
      "set_defaults(run=_cmd_validate)",
      ["tests/test_serialize_cli.py::TestCli"]),
+    ("W1", "the writer lists a relation's sources in state order, not name order",
+     "src/epk/serialize.py",
+     "for k in by_name:",
+     "for k in range(len(names)):",
+     ["tests/test_serialize_cli.py::TestDocuments::test_names_are_written_in_name_order"]),
+    ("W2", "the writer lists a target list in state order, not name order",
+     "src/epk/serialize.py",
+     "sorted(positions(mask), key=name_of)",
+     "positions(mask)",
+     ["tests/test_serialize_cli.py::TestDocuments::test_names_are_written_in_name_order"]),
+    ("W3", "`_json_object` closes an object with `]`",
+     "src/epk/serialize.py",
+     'depth, "{}")',
+     'depth, "{]")',
+     ["tests/test_serialize_cli.py::TestDocuments::test_names_are_written_in_name_order"]),
+    ("S1", "`presence_at` joins the agent's presence and the state with `|`, not `&`",
+     "src/epk/semantics.py",
+     "model.index.present.get(j, 0) & model.index.mask((state,))",
+     "model.index.present.get(j, 0) | model.index.mask((state,))",
+     ["tests/test_semantics.py::TestPresence"]),
     ("P1", "`->` also reduced at an equal level, so it groups to the left",
      "src/epk/formulas.py",
      "(level + 1, level) if cls is Implies",

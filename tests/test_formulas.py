@@ -248,6 +248,21 @@ class TestDeepFormulas:
         g = clone(f)
         assert g == f and hash(g) == hash(f)
 
+    @pytest.mark.parametrize("clone", [
+        *(lambda f, p=p: pickle.loads(pickle.dumps(f, p))
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        copy.copy, copy.deepcopy,
+    ], ids=[*(f"pickle-{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)), "copy", "deepcopy"])
+    def test_clones_at_any_depth_keep_shared_subterms(self, clone):
+        f = Prop("p")
+        for k in range(20000):  # every class, 20,000 deep
+            f = (Not(f), Believes("a", f), And(f, CertainAgent("a", "b")),
+                 Or(PossibleAgent("b", "a"), f), Implies(f, Prop("q")))[k % 5]
+        shared = And(f, f)
+        g = clone(shared)
+        assert g is not shared and g == shared and hash(g) == hash(shared)
+        assert g.left is g.right and type(g.left) is type(f)
+
 
 class TestFormulaType:
     def test_every_node_is_a_formula(self):

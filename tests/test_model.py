@@ -3,10 +3,10 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from epk import (KripkeModel, ModelError, StateId, holds_at, lie_online, parse,
+from epk import (KripkeModel, ModelError, StateId, holds_at, lie_online, parse, presence_at,
                  prune_unreachable, reachable_from, replicate_with_lineage,
                  subjective_relation, update_online)
 from epk.formulas import Believes, CertainAgent, PossibleAgent, Prop
@@ -21,7 +21,7 @@ def S(name):
 def successors(m, agent, state):
     # The agent's successors of one state, read from the index rows.
     m.require_agent(agent)
-    return m.index.states_of(m.index.rows[agent][m.require_state(state)])
+    return m.index.states_of(m.index.image(m.index.mask((state,)), (agent,)))
 
 
 def one_state(state):
@@ -236,12 +236,41 @@ class TestValidation:
                               relations={"a": []}, valuation={},
                               locals={"a": ["1"], "b": ["1"]})
 
+    # A string is a collection of its characters, which are names here ("12"
+    # would be the states 1 and 2, or the edge (1, 2)): each place refuses it.
+    @pytest.mark.parametrize("field, value, message", [
+        ("states", "12", "states must be a collection, not the string '12'"),
+        ("agents", "a", "agents must be a collection, not the string 'a'"),
+        ("props", "p", "props must be a collection, not the string 'p'"),
+        ("locals", {"a": "12"}, "locals.a must be a collection, not the string '12'"),
+        ("valuation", {"p": "12"}, "valuation.p must be a collection, not the string '12'"),
+        ("relations", {"a": "12"}, "relations.a must be a collection, not the string '12'"),
+        ("relations", {"a": {"1": "12"}},
+         "relations.a.1 must be a collection, not the string '12'"),
+        ("relations", {"a": ["12"]}, "relations.a must hold (s, t) pairs, not '12'"),
+        ("relations", {"a": [("1", "2", "1")]},
+         "relations.a must hold (s, t) pairs, not ('1', '2', '1')"),
+        ("relations", {"a": iter([("1", "2"), ("1",)])},
+         "relations.a must hold (s, t) pairs, not ('1',)"),
+    ], ids=["states", "agents", "props", "locals", "valuation", "relation", "map-row",
+            "pair-string", "pair-of-three", "pair-of-one"])
+    def test_a_string_or_a_bad_pair_is_refused(self, field, value, message):
+        fields = dict(states=["1", "2"], agents=["a"], props=["p"], relations={"a": []},
+                      valuation={"p": []}, locals={"a": ["1"]})
+        with pytest.raises(ModelError) as caught:
+            KripkeModel.build(**{**fields, field: value})
+        assert str(caught.value) == message
+
 
 class TestNames:
     NAMES = (st.text(alphabet="abBCPz_09é١²ſK -[]~", max_size=5)
              | st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True))
 
+    # A bad agent name and a bad proposition name, each met at once, not
+    # only after the search finds and shrinks one.
     @given(NAMES, NAMES)
+    @example("a-b", "p")
+    @example("a", "p q")
     @settings(max_examples=300, deadline=None)
     def test_every_name_a_model_admits_a_formula_can_spell(self, agent, prop):
         try:
@@ -391,7 +420,8 @@ class TestRefusals:
     # Each refusal names the first fault in a fixed order: an unknown state
     # before an unknown agent or proposition, an unknown liar before a
     # present newcomer, a present newcomer before its local states.  A state's
-    # name where a StateId is asked for is called a name, not an unknown state.
+    # name where a StateId is asked for is called a name, not an unknown state;
+    # a (base, lineage) pair, which looks up as its state, by that state's name.
     @pytest.mark.parametrize("call, message", [
         (lambda: holds_at(figure2(), S("9"), parse("p")), UNKNOWN),
         (lambda: holds_at(figure2(), S("9"), parse("zz & B[x] p")), UNKNOWN),
@@ -413,13 +443,23 @@ class TestRefusals:
         (lambda: holds_at(figure2(), "1", parse("p")), NAME),
         (lambda: update_online(figure2_minus_g(), "g", ["1"]), NAME),
         (lambda: prune_unreachable(figure2(), ["1"]), NAME),
+        (lambda: holds_at(figure2(), ("9", ()), parse("p")), UNKNOWN),
+        (lambda: presence_at(figure2(), "m", ("9", ())), UNKNOWN),
+        (lambda: reachable_from(figure2(), [("9", ())], ["m"]), UNKNOWN),
+        (lambda: update_online(figure2_minus_g(), "g", [("9", ())]), UNKNOWN),
+        (lambda: holds_at(figure2(), ("9", ("act",)), parse("p")), "unknown state: 9@act"),
+        (lambda: holds_at(figure2(), ("1",), parse("p")), "unknown state: ('1',)"),
+        (lambda: holds_at(figure2(), (("1",), ()), parse("p")), "unknown state: (('1',), ())"),
+        (lambda: presence_at(figure2(), "m", S("9")), UNKNOWN),
     ], ids=["holds_at", "holds_at-before-symbols", "reachable_from",
             "reachable_from-state-before-agent", "reachable_from-agent", "prune_unreachable",
             "online-state", "lie_online-state", "online-present", "online-present-before-empty",
             "lie_online-present", "lie_online-liar-as-newcomer", "online-empty",
             "online-empty-iterator", "lie_online-empty", "lie_online-liar-before-present",
             "lie_online-liar-before-state", "holds_at-name", "online-name",
-            "prune_unreachable-name"])
+            "prune_unreachable-name", "holds_at-pair", "presence_at-pair",
+            "reachable_from-pair", "online-pair", "holds_at-tagged-pair", "holds_at-one-tuple",
+            "holds_at-pair-of-tuple", "presence_at"])
     def test_message(self, call, message):
         with pytest.raises(ModelError) as caught:
             call()

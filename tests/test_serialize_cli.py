@@ -215,6 +215,23 @@ class TestDocuments:
             on_disk = Path(path).read_bytes()
             assert dumps_model(load_model(path)).encode() == on_disk
 
+    def test_names_are_written_in_name_order(self, tmp_path):
+        # The states are numbered 1, 1@act, 10, 2@shift, but their names
+        # sort as 1, 10, 1@act, 2@shift: the sources, each target list and
+        # every other list of names are written in name order.
+        names = ["2@shift", "10", "1@act", "1"]
+        m = KripkeModel.build(
+            states=names, agents=["a", "b"], props=["p"],
+            relations={"a": {s: names for s in names},
+                       "b": [("10", "1@act"), ("1@act", "2@shift"), ("1@act", "10"),
+                             ("2@shift", "1")]},
+            valuation={"p": ["1@act", "10"]}, locals={"a": names, "b": ["1@act", "10", "1"]},
+            meta={"z": "1", "a": "2"})
+        text = json.dumps(oracles.oracle_doc(m), indent=2, sort_keys=True) + "\n"
+        assert dumps_model(m) == text and '"1",\n    "10",\n    "1@act"' in text
+        save_model(m, str(tmp_path / "m.json"))
+        assert (tmp_path / "m.json").read_text(encoding="utf-8") == text
+
     @given(st.integers(0, 10**9))
     @settings(max_examples=100, deadline=None)
     def test_dumps_writes_the_bytes_of_json_dumps(self, seed):
