@@ -6,9 +6,10 @@ A model is its `ModelIndex`: its states numbered in sorted order, every
 agent's relation as successor rows (one bitmask per state over that
 numbering) and every set of states as a mask.  `KripkeModel(index, meta)`
 is the one constructor and the one check of names, local states and meta,
-and `KripkeModel.build` the one reader of state names and edges.  Inside
-the package a model is read through its index: loading, updates, pruning,
-frame checks, saving, DOT export and `show` pass rows and masks along.
+and `KripkeModel.build` the one checker of plain values and the one
+reader of state names and edges.  Inside the package a model is read
+through its index: loading, updates, pruning, frame checks, saving, DOT
+export and `show` pass rows and masks along.
 `valuation`, `locals` and `relations` are views for callers outside it,
 built on first read; `model.relations[a]` is a read-only set of (s, t)
 edges over the rows, whose size is `edge_count` of the rows and whose
@@ -20,7 +21,7 @@ mutates its input.  They are compared by value and cannot be hashed.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Set
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from functools import cached_property, reduce
 from itertools import compress, count, groupby, repeat
 from operator import itemgetter, or_
@@ -96,11 +97,41 @@ def _check_token(name: str, what: str) -> str:
     return name
 
 
-def _listed(items, field: str):
-    """`items`, refusing a string, whose characters would read as names."""
-    if isinstance(items, str):
-        raise ModelError(f"{field} must be a collection, not the string {items!r}")
+_NAME = (str, StateId)  # a state may be named by either
+
+
+def _collection(items) -> bool:
+    """Whether `items` can hold names: it is iterable, and neither a
+    string, whose characters would read as names, nor a mapping, whose
+    keys would."""
+    return isinstance(items, Iterable) and not isinstance(items, (str, Mapping))
+
+
+def _names(items, where: str, kinds=_NAME) -> list:
+    """`items` as a list, refusing anything but a collection of names of `kinds`."""
+    items = list(items) if _collection(items) else None
+    if items is None or not all(map(isinstance, items, repeat(kinds))):
+        raise ModelError(f"{where} must be a list of strings")
     return items
+
+
+# The types of a target list or a pair that are read without a search.
+_PLAIN = {list, tuple}
+
+
+def _relation_fault(relation, where: str) -> None:
+    """Refuse the first entry of `relation` that is not a source naming a
+    list of names, or, in a list of pairs, a pair of names."""
+    if isinstance(relation, Mapping):
+        for s, targets in relation.items():
+            if not (isinstance(s, _NAME) and _collection(targets)
+                    and all(map(isinstance, targets, repeat(_NAME)))):
+                raise ModelError(f"{where}.{s} must be a list of state names")
+    else:
+        for k, pair in enumerate(relation):
+            if not (isinstance(pair, Sequence) and not isinstance(pair, str) and len(pair) == 2
+                    and all(map(isinstance, pair, repeat(_NAME)))):
+                raise ModelError(f"{where}[{k}] must be a pair of state names [s, t]")
 
 
 def _once(items: Iterable, what: str) -> list:
@@ -414,23 +445,31 @@ class KripkeModel:
 
     @classmethod
     def build(cls, states, agents, props, relations, valuation, locals, meta=None):
-        """The validated model of plain values.  States and every mention
-        of one are names or `StateId`s; each relation is a mapping
-        {s: [t, ...]} or an iterable of (s, t) pairs.  Only what the index
-        cannot show is checked here: a state, agent or proposition listed
-        twice is refused, not merged, and `agents` and `props` must be the
-        keys of `relations` and `valuation`; the constructor checks the rest.
-        A string where names, a relation, a target list or a pair belongs
-        is refused, not read as its characters, and so is a pair whose
-        length is not 2.
+        """The validated model of plain values, and the one check of their
+        shapes.  States and every mention of one are names or `StateId`s,
+        agents and propositions names; each relation is a mapping
+        {s: [t, ...]} or an iterable of (s, t) pairs.  A value of another
+        shape is a `ModelError` naming its field (`states`, `locals.a`,
+        `relations.a.1`): a string is not read as its characters, nor a
+        mapping as its keys.  Of what the index cannot show, a state, agent
+        or proposition listed twice is refused, not merged, and `agents`
+        and `props` must be the keys of `relations` and `valuation`; the
+        constructor checks the rest.
 
         Each state is parsed once and given its bit in the sorted
         numbering, and each source's targets are ORed into its row: no
-        edge object is made."""
+        edge object is made.  A relation's shapes are tested in C and its
+        names once per distinct target list; a fault is looked for only
+        once one is found."""
+        # `parse` calls a state that is not a string a bad state name.
         ids = _once((x if isinstance(x, StateId) else StateId.parse(x)
-                     for x in _listed(states, "states")), "state")
-        agents = _once(_listed(agents, "agents"), "agent")
-        props = _once(_listed(props, "props"), "proposition")
+                     for x in _names(states, "states", object)), "state")
+        agents = _once(_names(agents, "agents", str), "agent")
+        props = _once(_names(props, "props", str), "proposition")
+        for field, named in (("relations", relations), ("valuation", valuation),
+                             ("locals", locals)):
+            if not isinstance(named, Mapping):
+                raise ModelError(f"{field} must be a mapping")
         if set(relations) != set(agents):
             raise ModelError("relations must have exactly one entry per agent")
         if set(valuation) != set(props):
@@ -444,28 +483,31 @@ class KripkeModel:
         def each(field, named, read, message):
             out = {}
             for name, value in named.items():
-                where = f"{field}.{name}"
                 try:
-                    out[name] = read(_listed(value, where), where)
+                    out[name] = read(value, f"{field}.{name}")
                 except KeyError as e:
                     raise ModelError(message.format(name, e.args[0])) from None
             return out
 
-        def mask(names, _where) -> int:
-            return reduce(or_, map(one.__getitem__, names), 0)
+        def mask(names, where) -> int:
+            return reduce(or_, map(one.__getitem__, _names(names, where)), 0)
 
         def rows(relation, where) -> list[int]:
-            # The shapes are tested in C; a fault found is then looked for.
+            # The shapes are tested in C; a name is tested by looking it up.
             if isinstance(relation, Mapping):
-                if any(map(isinstance, relation.values(), repeat(str))):
-                    for s, targets in relation.items():
-                        _listed(targets, f"{where}.{s}")
-            else:
+                plain = set(map(type, relation.values())) <= _PLAIN
+            elif _collection(relation):
                 relation = list(relation)
-                if any(map(isinstance, relation, repeat(str))) or set(map(len, relation)) - {2}:
-                    bad = next(p for p in relation if isinstance(p, str) or len(p) != 2)
-                    raise ModelError(f"{where} must hold (s, t) pairs, not {bad!r}")
-            return read_rows(relation, one, len(order), made)
+                plain = set(map(type, relation)) <= _PLAIN and set(map(len, relation)) <= {2}
+            else:
+                raise ModelError(f"{where} must be an adjacency map or a list of [s, t] pairs")
+            try:
+                if not plain:
+                    _relation_fault(relation, where)
+                return read_rows(relation, one, len(order), made)
+            except (KeyError, TypeError):  # an undeclared name, or one of another type
+                _relation_fault(relation, where)
+                raise
 
         return cls(ModelIndex(
             order,

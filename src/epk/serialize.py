@@ -13,8 +13,9 @@ successors.  Loading also reads the older form of a relation, a list of
 `[s, t]` pairs, chosen per agent by its JSON type; saving writes maps
 only, listing just the sources that have a successor.  A JSON object
 that gives one key twice is an error, not a silent overwrite.  Loading
-checks the document's shapes and leaves its names and edges to
-`KripkeModel.build`, the one reader of both.
+checks only what belongs to a document (a JSON object with the schema's
+keys, no key given twice, valid Unicode) and leaves the fields' shapes,
+names and edges to `KripkeModel.build`, the one checker of plain values.
 
 State names carry lineage inline: "3@act", "1@act@shift".  Saving always
 emits the canonical form (sorted keys, sorted lists), so a canonical
@@ -48,81 +49,29 @@ class DocumentError(ValueError):
     """A model file that does not parse or does not validate."""
 
 
-def _strings(value, where: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise DocumentError(f"{where} must be a list of strings")
-    return value
-
-
-def _string_lists(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise DocumentError(f"{where} must be a JSON object")
-    for name, names in value.items():
-        _strings(names, f"{where}.{name}")
-    return value
-
-
-def _lists(relation) -> bool:
-    """Whether `relation` is an adjacency map whose values are lists or a
-    list of two-element lists: tested in C, without reading the names."""
-    if type(relation) is dict:
-        return set(map(type, relation.values())) <= {list}
-    return set(map(type, relation)) <= {list} and set(map(len, relation)) <= {2}
-
-
-def _relation_fault(a: str, relation) -> str | None:
-    """What is wrong with the shape of agent a's relation, if anything."""
-    if type(relation) is dict:
-        for s, targets in relation.items():
-            if type(targets) is not list or not all(type(t) is str for t in targets):
-                return f"relations.{a}.{s} must be a list of state names"
-    else:
-        for k, pair in enumerate(relation):
-            if not (type(pair) is list and len(pair) == 2
-                    and type(pair[0]) is str and type(pair[1]) is str):
-                return f"relations.{a}[{k}] must be a pair of state names [s, t]"
-    return None
-
-
 def doc_to_model(doc: dict) -> KripkeModel:
-    """The model a document describes.  Every field must have exactly the
-    shape of the schema above, a relation either shape; anything else
-    raises `DocumentError`.  The checked fields go to `KripkeModel.build`.
-
-    The names inside a relation are read only there: one that is not a
-    string is in no numbering, so `build` refuses it, and then the
-    relation's shape fault is reported."""
+    """The model a document describes.  Only what belongs to a document
+    is checked here: that it is a JSON object with the six keys of the
+    schema above, and that its state names and `meta` are valid Unicode.
+    Its fields go to `KripkeModel.build`, the one check of their shapes,
+    names and edges, whose `ModelError` becomes a `DocumentError` with
+    the same text."""
     if not isinstance(doc, dict):
         raise DocumentError("model document must be a JSON object")
     for key in ("states", "agents", "props", "relations", "valuation", "locals"):
         if key not in doc:
             raise DocumentError(f"model document is missing {key!r}")
-    states = _strings(doc["states"], "states")
-    agents = _strings(doc["agents"], "agents")
-    props = _strings(doc["props"], "props")
-    relations = doc["relations"]
-    if not isinstance(relations, dict):
-        raise DocumentError("relations must be a JSON object")
-    for a, relation in relations.items():
-        if type(relation) not in (dict, list):
-            raise DocumentError(f"relations.{a} must be an adjacency map or a list of [s, t] pairs")
-        if not _lists(relation):
-            raise DocumentError(_relation_fault(a, relation))
-    valuation = _string_lists(doc["valuation"], "valuation")
-    locals_ = _string_lists(doc["locals"], "locals")
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict) or not all(isinstance(v, str) for v in meta.values()):
-        raise DocumentError("meta must be a JSON object of strings")
-    for where, texts in (("states", states), ("meta", [*meta, *meta.values()])):
+    try:
+        model = KripkeModel.build(doc["states"], doc["agents"], doc["props"], doc["relations"],
+                                  doc["valuation"], doc["locals"], doc.get("meta"))
+    except ModelError as e:
+        raise DocumentError(str(e)) from e
+    for where, texts in (("states", doc["states"]), ("meta", [*model.meta, *model.meta.values()])):
         try:  # JSON's \ud800 escape makes a lone surrogate, which no UTF-8 output can hold
             "".join(texts).encode("utf-8")
         except UnicodeEncodeError as e:
             raise DocumentError(f"{where} must be valid Unicode, not {e.object[e.start]!a}") from e
-    try:
-        return KripkeModel.build(states, agents, props, relations, valuation, locals_, meta)
-    except (ModelError, TypeError) as e:  # TypeError: a name that cannot be hashed
-        faults = (_relation_fault(a, relation) for a, relation in relations.items())
-        raise DocumentError(next(filter(None, faults), None) or str(e)) from e
+    return model
 
 
 def _members(pairs: list) -> dict:

@@ -129,6 +129,41 @@ MUTANTS = [
      "if set(valuation) != set(props):",
      "if False:",
      ["tests/test_cli_contract.py"]),
+    ("B1", "`build` stops refusing a mapping where names belong",
+     "src/epk/model.py",
+     "not isinstance(items, (str, Mapping))",
+     "not isinstance(items, str)",
+     ["tests/test_model.py::TestValidation::test_a_string_or_a_bad_pair_is_refused"]),
+    ("B2", "`build` stops refusing a non-list target list",
+     "src/epk/model.py",
+     "plain = set(map(type, relation.values())) <= _PLAIN",
+     "plain = True",
+     ["tests/test_model.py::TestValidation::test_a_string_or_a_bad_pair_is_refused"]),
+    ("B3", "`build` reads a pair of three as its first two names",
+     "src/epk/model.py",
+     "<= _PLAIN and set(map(len, relation)) <= {2}",
+     "<= _PLAIN",
+     ["tests/test_model.py::TestValidation::test_a_string_or_a_bad_pair_is_refused"]),
+    ("B4", "`build` reports a name of another type as an undeclared state",
+     "src/epk/model.py",
+     "                _relation_fault(relation, where)\n                raise",
+     "                raise",
+     ["tests/test_model.py::TestValidation::test_a_string_or_a_bad_pair_is_refused"]),
+    ("B5", "`build` stops refusing a field that is not a mapping",
+     "src/epk/model.py",
+     "if not isinstance(named, Mapping):",
+     "if False:",
+     ["tests/test_model.py::TestValidation::test_a_string_or_a_bad_pair_is_refused"]),
+    ("D1", "`doc_to_model` catches nothing around `build`",
+     "src/epk/serialize.py",
+     "except ModelError as e:",
+     "except () as e:",
+     ["tests/test_serialize_cli.py::TestDocuments::test_bad_shapes_are_rejected"]),
+    ("D2", "`doc_to_model` stops checking that names and `meta` are valid Unicode",
+     "src/epk/serialize.py",
+     '"".join(texts).encode("utf-8")',
+     '"".join(texts)',
+     ["tests/test_cli_contract.py"]),
     ("C1", "`show` dispatches to `_cmd_validate`",
      "src/epk/cli.py",
      "set_defaults(run=_cmd_show)",

@@ -237,23 +237,50 @@ class TestValidation:
                               locals={"a": ["1"], "b": ["1"]})
 
     # A string is a collection of its characters, which are names here ("12"
-    # would be the states 1 and 2, or the edge (1, 2)): each place refuses it.
+    # would be the states 1 and 2, or the edge (1, 2)), and a mapping is one
+    # of its keys: each place refuses both, as it does anything that is not
+    # a collection, a name that is not a string and a pair that is not two
+    # names, each with a `ModelError` that names the field.
     @pytest.mark.parametrize("field, value, message", [
-        ("states", "12", "states must be a collection, not the string '12'"),
-        ("agents", "a", "agents must be a collection, not the string 'a'"),
-        ("props", "p", "props must be a collection, not the string 'p'"),
-        ("locals", {"a": "12"}, "locals.a must be a collection, not the string '12'"),
-        ("valuation", {"p": "12"}, "valuation.p must be a collection, not the string '12'"),
-        ("relations", {"a": "12"}, "relations.a must be a collection, not the string '12'"),
-        ("relations", {"a": {"1": "12"}},
-         "relations.a.1 must be a collection, not the string '12'"),
-        ("relations", {"a": ["12"]}, "relations.a must hold (s, t) pairs, not '12'"),
+        ("states", "12", "states must be a list of strings"),
+        ("agents", "a", "agents must be a list of strings"),
+        ("props", "p", "props must be a list of strings"),
+        ("locals", {"a": "12"}, "locals.a must be a list of strings"),
+        ("valuation", {"p": "12"}, "valuation.p must be a list of strings"),
+        ("relations", {"a": "12"},
+         "relations.a must be an adjacency map or a list of [s, t] pairs"),
+        ("relations", {"a": {"1": "12"}}, "relations.a.1 must be a list of state names"),
+        ("relations", {"a": ["12"]}, "relations.a[0] must be a pair of state names [s, t]"),
         ("relations", {"a": [("1", "2", "1")]},
-         "relations.a must hold (s, t) pairs, not ('1', '2', '1')"),
+         "relations.a[0] must be a pair of state names [s, t]"),
         ("relations", {"a": iter([("1", "2"), ("1",)])},
-         "relations.a must hold (s, t) pairs, not ('1',)"),
+         "relations.a[1] must be a pair of state names [s, t]"),
+        ("states", 5, "states must be a list of strings"),
+        ("agents", None, "agents must be a list of strings"),
+        ("locals", {"a": 5}, "locals.a must be a list of strings"),
+        ("relations", {"a": [5]}, "relations.a[0] must be a pair of state names [s, t]"),
+        ("relations", {"a": {"1": 5}}, "relations.a.1 must be a list of state names"),
+        ("relations", {"a": {"1": None}}, "relations.a.1 must be a list of state names"),
+        ("relations", {"a": {"1": [["2"]]}}, "relations.a.1 must be a list of state names"),
+        ("relations", ["a"], "relations must be a mapping"),
+        ("valuation", ["p"], "valuation must be a mapping"),
+        ("locals", ["a"], "locals must be a mapping"),
+        ("states", {"1": 0, "2": 0}, "states must be a list of strings"),
+        ("locals", {"a": {"1": 0}}, "locals.a must be a list of strings"),
+        ("relations", {"a": {"1": {"2": []}}}, "relations.a.1 must be a list of state names"),
+        ("agents", [5], "agents must be a list of strings"),
+        ("props", [["p"]], "props must be a list of strings"),
+        ("valuation", {"p": [None]}, "valuation.p must be a list of strings"),
+        ("relations", {"a": [("1", ["2"])]},
+         "relations.a[0] must be a pair of state names [s, t]"),
+        ("relations", {"a": [{"1": "2", "2": "1"}]},
+         "relations.a[0] must be a pair of state names [s, t]"),
     ], ids=["states", "agents", "props", "locals", "valuation", "relation", "map-row",
-            "pair-string", "pair-of-three", "pair-of-one"])
+            "pair-string", "pair-of-three", "pair-of-one",
+            "states-int", "agents-none", "locals-int", "pair-int", "map-row-int",
+            "map-row-none", "map-row-nested-list", "relations-list", "valuation-list",
+            "locals-list", "states-map", "locals-map", "map-row-map",
+            "agent-int", "prop-list", "valuation-none", "pair-with-a-list", "pair-map"])
     def test_a_string_or_a_bad_pair_is_refused(self, field, value, message):
         fields = dict(states=["1", "2"], agents=["a"], props=["p"], relations={"a": []},
                       valuation={"p": []}, locals={"a": ["1"]})

@@ -23,6 +23,7 @@ from epk import (DocumentError, KripkeModel, ModelError, StateId, doc_to_model, 
 from epk import cli
 from epk.cli import main
 from helpers import figure2, fixture_path, random_sparse_model
+from test_fuzz import json_values
 
 
 def S(name):
@@ -42,8 +43,9 @@ FIXTURES = ("figure2", "figure2_minus_g", "cube3", "gruffalo")
 @st.composite
 def shaped_documents(draw):
     """Documents of the schema's shapes, each relation a map or a pair
-    list, whose names are now and then undeclared or malformed, and whose
-    fields now and then miss an agent or a proposition."""
+    list, whose names are now and then undeclared or malformed, whose
+    fields now and then miss an agent or a proposition, and one of whose
+    fields, `meta` included, is now and then any JSON value."""
     now_and_then = st.sampled_from([False] * 9 + [True])
     states = draw(st.lists(st.sampled_from(["1", "2", "3", "1@act", "2@shift", "3@act@shift"] * 4
                                            + ["1@bogus"]), max_size=6, unique=True))
@@ -66,6 +68,8 @@ def shaped_documents(draw):
     if draw(now_and_then):
         field = draw(st.sampled_from(["relations", "valuation", "locals"]))
         doc[field] = dict(list(doc[field].items())[1:])
+    if draw(now_and_then):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(json_values)
     return doc
 
 
@@ -259,7 +263,8 @@ class TestDocuments:
     @given(shaped_documents())
     @settings(max_examples=300, deadline=None)
     def test_documents_read_as_build_reads_their_fields(self, doc):
-        # Loading checks the shapes and leaves names and edges to `build`.
+        # Loading leaves every field to `build`: a model built alike, or
+        # `build`'s message, and no other exception from either.
         try:
             built = KripkeModel.build(**doc).index
         except ModelError as e:
