@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence, Set
 from functools import cached_property, reduce
-from itertools import compress, count, groupby, repeat
+from itertools import chain, compress, count, groupby, repeat
 from operator import itemgetter, or_
 from types import MappingProxyType
 
@@ -115,8 +115,8 @@ def _names(items, where: str, kinds=_NAME) -> list:
     return items
 
 
-# The types of a target list or a pair that are read without a search.
-_PLAIN = {list, tuple}
+# The types of a target list or a pair, and of a name, read without a search.
+_PLAIN, _PLAIN_NAME = {list, tuple}, set(_NAME)
 
 
 def _relation_fault(relation, where: str) -> None:
@@ -458,9 +458,9 @@ class KripkeModel:
 
         Each state is parsed once and given its bit in the sorted
         numbering, and each source's targets are ORed into its row: no
-        edge object is made.  A relation's shapes are tested in C and its
-        names once per distinct target list; a fault is looked for only
-        once one is found."""
+        edge object is made.  The types of a relation's values and names
+        are tested in C, a target list's names once per distinct list; a
+        fault is looked for only once one is found."""
         # `parse` calls a state that is not a string a bad state name.
         ids = _once((x if isinstance(x, StateId) else StateId.parse(x)
                      for x in _names(states, "states", object)), "state")
@@ -493,12 +493,14 @@ class KripkeModel:
             return reduce(or_, map(one.__getitem__, _names(names, where)), 0)
 
         def rows(relation, where) -> list[int]:
-            # The shapes are tested in C; a name is tested by looking it up.
+            # The types are tested in C; a name is tested by looking it up.
             if isinstance(relation, Mapping):
-                plain = set(map(type, relation.values())) <= _PLAIN
+                plain = (set(map(type, relation.values())) <= _PLAIN
+                         and set(map(type, relation)) <= _PLAIN_NAME)
             elif _collection(relation):
                 relation = list(relation)
-                plain = set(map(type, relation)) <= _PLAIN and set(map(len, relation)) <= {2}
+                plain = (set(map(type, relation)) <= _PLAIN and set(map(len, relation)) <= {2}
+                         and set(map(type, chain.from_iterable(relation))) <= _PLAIN_NAME)
             else:
                 raise ModelError(f"{where} must be an adjacency map or a list of [s, t] pairs")
             try:
@@ -509,9 +511,13 @@ class KripkeModel:
                 _relation_fault(relation, where)
                 raise
 
+        successors = each("relations", relations, rows, "relations.{} uses undeclared state {}")
+        # A target of another type, in an adjacency map: a pair's are tested above.
+        if not set(map(type, chain.from_iterable(made))) <= _PLAIN_NAME:
+            for a, relation in relations.items():
+                _relation_fault(relation, f"relations.{a}")
         return cls(ModelIndex(
-            order,
-            each("relations", relations, rows, "relations.{} uses undeclared state {}"),
+            order, successors,
             each("valuation", valuation, mask, "valuation of {} names undeclared state {}"),
             each("locals", locals, mask, "local state {1} of agent {0} is undeclared")), meta)
 

@@ -1,0 +1,103 @@
+"""The paper's laws of its four updates, written once.
+
+`LAWS[kind]` lists the named laws of each update kind.  A law is a
+function of (before, after, args, formulas): the models before and after
+the update, its agents by role (`j` the agent it is about, `i` the liar)
+and formulas over the agents of `before`.  It returns the first (agent,
+formula) at which it fails, or None; a law of the states returns (None,
+what it found).  In a law's formula text, `k` is each agent of its group.
+"""
+
+from epk import (holds_for_agent, lie_offline, lie_online, parse, unparse, update_offline,
+                 update_online)
+from oracles import agents_of
+
+UPDATES = {"online": update_online, "offline": update_offline,
+           "lie_offline": lie_offline, "lie_online": lie_online}
+
+# The groups of agents a law is about, from the models before and after and i, j.
+GROUPS = {
+    "every agent": lambda before, after, i, j: after.agents,
+    "the old agents": lambda before, after, i, j: before.agents,
+    "the survivors": lambda before, after, i, j: before.agents - {j},
+    "the misinformed offline": lambda before, after, i, j: before.agents - {i, j},
+    "the misinformed online": lambda before, after, i, j: after.agents - {i},  # j among them
+    "the old misinformed": lambda before, after, i, j: before.agents - {i},
+    "i and j": lambda before, after, i, j: {i, j},
+    "i": lambda before, after, i, j: {i},
+}
+
+
+def holds(text, group, who="k", if_held=False):
+    """For each agent k of `group`, `text` holds for the agent `who`
+    names; with `if_held`, wherever it held before."""
+    def law(before, after, args, formulas):
+        for k in sorted(GROUPS[group](before, after, args.get("i"), args["j"])):
+            names = {**args, "k": k}
+            agent, f = names[who], parse(text.format(**names))
+            if if_held and not holds_for_agent(before, agent, f):
+                continue
+            if not holds_for_agent(after, agent, f):
+                return agent, unparse(f)
+    return law
+
+
+def keeps(group, with_j=True):
+    """Each agent of `group` keeps the truth of each formula (without
+    `with_j`, of each that does not name j)."""
+    def law(before, after, args, formulas):
+        for f in formulas:
+            if with_j or args["j"] not in agents_of(f):
+                for k in sorted(GROUPS[group](before, after, args.get("i"), args["j"])):
+                    if holds_for_agent(after, k, f) != holds_for_agent(before, k, f):
+                        return k, unparse(f)
+    return law
+
+
+def states(test):
+    """`test(states before, states after)` is true."""
+    return lambda before, after, args, formulas: (
+        None if test(before.states, after.states) else (None, f"{len(after.states)} states"))
+
+
+at_most_double = states(lambda old, new: len(new) <= 2 * len(old))
+
+LAWS = {
+    "online": [
+        ("the states are unchanged", states(lambda old, new: old == new)),
+        ("every agent is certain of j", holds("C[{k},{j}]", "every agent")),
+        ("every old agent keeps each formula's truth", keeps("the old agents")),
+    ],
+    "offline": [
+        ("the survivors see j absent", holds("~P[{k},{j}]", "the survivors")),
+        ("the survivors keep each truth without j", keeps("the survivors", with_j=False)),
+    ],
+    "lie_offline": [
+        ("the misinformed see j absent", holds("~P[{k},{j}]", "the misinformed offline")),
+        ("i believes they do", holds("B[{i}] ~P[{k},{j}]", "the misinformed offline", who="i")),
+        ("i and j keep C[k,j] where they held it", holds("C[{k},{j}]", "i and j", if_held=True)),
+        ("at most 2|S| states", at_most_double),
+    ],
+    "lie_online": [
+        ("the misinformed are certain of j", holds("C[{k},{j}]", "the misinformed online")),
+        ("i believes they are", holds("B[{i}] C[{k},{j}]", "the misinformed online", who="i")),
+        ("i is not fooled", holds("~P[{i},{j}]", "i", who="i")),
+        ("the misinformed keep their truths", keeps("the old misinformed")),
+        ("at most 2|S| states", at_most_double),
+    ],
+}
+
+
+def check_laws(kind, before, after, args, formulas=()):
+    """The first (law, agent, formula) at which `after`, the update `kind`
+    of `before` by `args` (its arguments after the model), breaks a law
+    of `LAWS[kind]`, or None."""
+    roles = dict(zip("ij" if kind.startswith("lie") else "j", args))
+    for name, law in LAWS[kind]:
+        if (failure := law(before, after, roles, formulas)) is not None:
+            return (name, *failure)
+
+
+def check_update(kind, before, args, formulas=()):
+    """`check_laws` of the update `kind` of `before` by `args`, run here."""
+    return check_laws(kind, before, UPDATES[kind](before, *args).model, args, formulas)

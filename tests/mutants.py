@@ -136,8 +136,8 @@ MUTANTS = [
      ["tests/test_model.py::TestValidation::test_a_string_or_a_bad_pair_is_refused"]),
     ("B2", "`build` stops refusing a non-list target list",
      "src/epk/model.py",
-     "plain = set(map(type, relation.values())) <= _PLAIN",
-     "plain = True",
+     "plain = (set(map(type, relation.values())) <= _PLAIN",
+     "plain = (True",
      ["tests/test_model.py::TestValidation::test_a_string_or_a_bad_pair_is_refused"]),
     ("B3", "`build` reads a pair of three as its first two names",
      "src/epk/model.py",
@@ -204,6 +204,17 @@ MUTANTS = [
      '"|": (Or, 2), "&": (And, 3)',
      '"|": (Or, 3), "&": (And, 2)',
      ["tests/test_formulas.py"]),
+    ("L1", "the liar of `lie_online` misinformed",
+     "src/epk/updates.py",
+     "i: INFORMED}, j, new_locals)",
+     "i: MISINFORMED}, j, new_locals)",
+     ["tests/test_acceptance.py::test_criterion_4_untruthful_update_laws"]),
+    ("L2", "the target of `lie_offline` keeps its edges in shift",
+     "src/epk/updates.py",
+     "j: (0, (0, None))",
+     "j: (0, (0, 1))",
+     ["tests/test_updates.py::TestLargerModels::test_update_laws",
+      "tests/test_update_chains.py"]),
 ]
 
 

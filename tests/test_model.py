@@ -275,12 +275,18 @@ class TestValidation:
          "relations.a[0] must be a pair of state names [s, t]"),
         ("relations", {"a": [{"1": "2", "2": "1"}]},
          "relations.a[0] must be a pair of state names [s, t]"),
+        ("relations", {"a": {"1": [("2", ())]}}, "relations.a.1 must be a list of state names"),
+        ("relations", {"a": {("1", ()): ["2"]}},
+         "relations.a.('1', ()) must be a list of state names"),
+        ("relations", {"a": [(("1", ()), "2")]},
+         "relations.a[0] must be a pair of state names [s, t]"),
     ], ids=["states", "agents", "props", "locals", "valuation", "relation", "map-row",
             "pair-string", "pair-of-three", "pair-of-one",
             "states-int", "agents-none", "locals-int", "pair-int", "map-row-int",
             "map-row-none", "map-row-nested-list", "relations-list", "valuation-list",
             "locals-list", "states-map", "locals-map", "map-row-map",
-            "agent-int", "prop-list", "valuation-none", "pair-with-a-list", "pair-map"])
+            "agent-int", "prop-list", "valuation-none", "pair-with-a-list", "pair-map",
+            "map-row-tuple-target", "map-tuple-source", "pair-with-a-tuple"])
     def test_a_string_or_a_bad_pair_is_refused(self, field, value, message):
         fields = dict(states=["1", "2"], agents=["a"], props=["p"], relations={"a": []},
                       valuation={"p": []}, locals={"a": ["1"]})

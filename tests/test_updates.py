@@ -11,6 +11,7 @@ import oracles
 from epk import (KripkeModel, ModelError, StateId, UpdateResult, holds_for_agent, lie_offline,
                  lie_online, parse, update_offline, update_online)
 from helpers import figure2, figure2_minus_g, random_formula, random_local_kd45_model
+from laws import check_laws, check_update
 
 
 def S(name):
@@ -152,12 +153,7 @@ class TestLieOffline:
             if not all(holds_for_agent(base, k, parse(f"C[{k},{j}]"))
                        for k in base.agents):
                 continue
-            m = lie_offline(base, i, j).model
-            for k in sorted(base.agents - {i, j}):
-                assert holds_for_agent(m, k, parse(f"~P[{k},{j}]"))
-                assert holds_for_agent(m, i, parse(f"B[{i}] ~P[{k},{j}]"))
-            for k in (i, j):
-                assert holds_for_agent(m, k, parse(f"C[{k},{j}]"))
+            assert check_update("lie_offline", base, (i, j)) is None
             checked += 1
         assert checked > 5
 
@@ -203,11 +199,7 @@ class TestLieOnline:
             base = random_local_kd45_model(rng, min_agents=2)
             i = rng.choice(sorted(base.agents))
             locs = {rng.choice(sorted(base.states))}
-            m = lie_online(base, i, "z", locs).model
-            for k in sorted(m.agents - {i}):
-                assert holds_for_agent(m, k, parse(f"C[{k},z]"))
-                assert holds_for_agent(m, i, parse(f"B[{i}] C[{k},z]"))
-            assert holds_for_agent(m, i, parse(f"~P[{i},z]"))
+            assert check_update("lie_online", base, (i, "z", locs)) is None
 
     def test_growth_bound(self):
         rng = random.Random(41)
@@ -215,8 +207,7 @@ class TestLieOnline:
             base = random_local_kd45_model(rng)
             i = rng.choice(sorted(base.agents))
             locs = {rng.choice(sorted(base.states))}
-            m = lie_online(base, i, "z", locs).model
-            assert len(m.states) <= 2 * len(base.states)
+            assert check_update("lie_online", base, (i, "z", locs)) is None
 
     def test_new_agent_must_be_fresh(self):
         with pytest.raises(ModelError):
@@ -234,11 +225,9 @@ class TestPreservationAndComposition:
                 off = update_offline(base, j).model
             except ModelError:
                 continue  # pruning emptied someone's locals
-            for _ in range(4):
-                f = random_formula(rng, survivors, base.props, depth=3)
-                assert j not in oracles.agents_of(f)
-                for k in survivors:
-                    assert holds_for_agent(off, k, f) == holds_for_agent(base, k, f)
+            formulas = [random_formula(rng, survivors, base.props, depth=3) for _ in range(4)]
+            assert not any(j in oracles.agents_of(f) for f in formulas)
+            assert check_laws("offline", base, off, (j,), formulas) is None
 
     def test_jfree_preservation_lies(self):
         rng = random.Random(47)
@@ -246,12 +235,8 @@ class TestPreservationAndComposition:
             base = random_local_kd45_model(rng, min_agents=2)
             i = rng.choice(sorted(base.agents))
             locs = {rng.choice(sorted(base.states))}
-            m = lie_online(base, i, "z", locs).model
-            misinformed = sorted(base.agents - {i})
-            for _ in range(4):
-                f = random_formula(rng, base.agents, base.props, depth=3)
-                for k in misinformed:
-                    assert holds_for_agent(m, k, f) == holds_for_agent(base, k, f)
+            formulas = [random_formula(rng, base.agents, base.props, depth=3) for _ in range(4)]
+            assert check_update("lie_online", base, (i, "z", locs), formulas) is None
 
     def test_online_then_offline_restores_jfree_truth(self):
         rng = random.Random(53)
@@ -320,47 +305,8 @@ class TestLargerModels:
         i, j = rng.sample(agents, 2)
         locs = {rng.choice(sorted(base.states))}
         formulas = [random_formula(rng, agents, base.props, depth=3) for _ in range(4)]
-
-        # online: size kept, everyone certain of the newcomer, j-free truth kept
-        on = update_online(base, "z", locs).model
-        assert on.states == base.states
-        for k in on.agents:
-            assert holds_for_agent(on, k, parse(f"C[{k},z]"))
-        for f in formulas:
-            for k in agents:
-                assert holds_for_agent(on, k, f) == holds_for_agent(base, k, f)
-
-        # offline: the survivors see j absent, and keep their j-free truths
-        off = update_offline(base, j).model
-        survivors = [k for k in agents if k != j]
-        for k in survivors:
-            assert holds_for_agent(off, k, parse(f"~P[{k},{j}]"))
-        for f in formulas:
-            if j not in oracles.agents_of(f):
-                for k in survivors:
-                    assert holds_for_agent(off, k, f) == holds_for_agent(base, k, f)
-
-        # lie_offline: the misinformed see j absent, and i believes they do
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            loff = lie_offline(base, i, j).model
-        for k in sorted(base.agents - {i, j}):
-            assert holds_for_agent(loff, k, parse(f"~P[{k},{j}]"))
-            assert holds_for_agent(loff, i, parse(f"B[{i}] ~P[{k},{j}]"))
-        for k in (i, j):
-            if holds_for_agent(base, k, parse(f"C[{k},{j}]")):
-                assert holds_for_agent(loff, k, parse(f"C[{k},{j}]"))
-        assert len(loff.states) <= 2 * len(base.states)
-
-        # lie_online: the misinformed are certain of z, i believes they are
-        # and is not fooled itself; the misinformed keep their truths
-        lon = lie_online(base, i, "z", locs).model
-        for k in sorted(lon.agents - {i}):
-            assert holds_for_agent(lon, k, parse(f"C[{k},z]"))
-            assert holds_for_agent(lon, i, parse(f"B[{i}] C[{k},z]"))
-        assert holds_for_agent(lon, i, parse(f"~P[{i},z]"))
-        for f in formulas:
-            for k in agents:
-                if k != i:
-                    assert holds_for_agent(lon, k, f) == holds_for_agent(base, k, f)
-        assert len(lon.states) <= 2 * len(base.states)
+            for kind, args in [("online", ("z", locs)), ("offline", (j,)),
+                               ("lie_offline", (i, j)), ("lie_online", (i, "z", locs))]:
+                assert check_update(kind, base, args, formulas) is None
