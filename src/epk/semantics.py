@@ -63,7 +63,9 @@ def sat(model: KripkeModel, f: Formula, within: int | None = None) -> int:
 
     Three passes over the formula's subterm DAG, none recursive, each
     dispatching once per node on its exact class.  Nodes are keyed by
-    identity: hashing a deeply nested formula would itself recurse.
+    identity: `id` is one C call, where a node's `__hash__` is a Python
+    method call, and an equal node that is another object would be
+    compared by its text.
 
     1. An explicit stack checks each node where it first meets it, so the
        leftmost unknown proposition or agent raises `ModelError`, even

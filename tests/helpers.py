@@ -1,10 +1,11 @@
 """Shared fixtures and random generators for the test suite."""
 
+import io
 import os
 import random
 import time
 
-from epk import KripkeModel, StateId
+from epk import KripkeModel, StateId, cli
 from epk.formulas import (And, Believes, CertainAgent, Implies, Not, Or,
                           PossibleAgent, Prop)
 
@@ -20,6 +21,13 @@ def best_time(fn, k=3):
         fn()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def run_cli(*argv):
+    """`cli.main` on `argv`: its exit status, and what it wrote to each stream."""
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(list(argv), out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
 
 
 def fixture_path(name):

@@ -1,4 +1,6 @@
-"""The paper's laws of its four updates, written once.
+"""The paper's laws of its four updates, written once, and the one check
+of an update's whole result: `check_result` compares it with the oracle's
+of `tests/oracles`, then checks the laws.
 
 `LAWS[kind]` lists the named laws of each update kind.  A law is a
 function of (before, after, args, formulas): the models before and after
@@ -8,9 +10,9 @@ formula) at which it fails, or None; a law of the states returns (None,
 what it found).  In a law's formula text, `k` is each agent of its group.
 """
 
-from epk import (holds_for_agent, lie_offline, lie_online, parse, unparse, update_offline,
-                 update_online)
-from oracles import agents_of
+from epk import (UpdateResult, holds_for_agent, lie_offline, lie_online, parse, unparse,
+                 update_offline, update_online)
+from oracles import ORACLES, agents_of
 
 UPDATES = {"online": update_online, "offline": update_offline,
            "lie_offline": lie_offline, "lie_online": lie_online}
@@ -88,16 +90,22 @@ LAWS = {
 }
 
 
-def check_laws(kind, before, after, args, formulas=()):
-    """The first (law, agent, formula) at which `after`, the update `kind`
-    of `before` by `args` (its arguments after the model), breaks a law
-    of `LAWS[kind]`, or None."""
+def check_result(kind, before, args, result, formulas=()):
+    """The first field of `result`, the update `kind` of `before` by `args`
+    (its arguments after the model), that differs from the oracle's, as
+    ("the oracle's " + field, result's value, oracle's value); else the
+    first (law, agent, formula) at which `result.model` breaks a law of
+    `LAWS[kind]`; else None."""
+    expected = ORACLES[kind](before, *args)
+    for field, got, want in zip(UpdateResult._fields, result, expected, strict=True):
+        if got != want:
+            return f"the oracle's {field}", got, want
     roles = dict(zip("ij" if kind.startswith("lie") else "j", args))
     for name, law in LAWS[kind]:
-        if (failure := law(before, after, roles, formulas)) is not None:
+        if (failure := law(before, result.model, roles, formulas)) is not None:
             return (name, *failure)
 
 
 def check_update(kind, before, args, formulas=()):
-    """`check_laws` of the update `kind` of `before` by `args`, run here."""
-    return check_laws(kind, before, UPDATES[kind](before, *args).model, args, formulas)
+    """`check_result` of the update `kind` of `before` by `args`, run here."""
+    return check_result(kind, before, args, UPDATES[kind](before, *args), formulas)

@@ -3,6 +3,8 @@
 The evaluator below is a direct, unmemoized transcription of the
 satisfaction clauses; the update oracles follow the operator constructions
 step by step, materializing both replicas in full and pruning at the end.
+Each returns the whole result of its update, as `_pruned` makes it: the
+model, the states pruned away, and the edges added and removed per agent.
 They deliberately share no code with the production modules.
 """
 
@@ -73,24 +75,40 @@ def _bfs(seeds, relations):
     return seen
 
 
-def _pruned(states, agents, props, relations, valuation, locs):
+def edge_counts(before, after):
+    """Per agent of either model, the number of edges `after` adds to
+    `before` and the number it removes, as set differences of edges by
+    state name."""
+    added, removed = {}, {}
+    for a in before.agents | after.agents:
+        old = {(s.name, t.name) for (s, t) in before.relations.get(a, ())}
+        new = {(s.name, t.name) for (s, t) in after.relations.get(a, ())}
+        added[a], removed[a] = len(new - old), len(old - new)
+    return added, removed
+
+
+def _pruned(before, states, agents, props, relations, valuation, locs):
+    """The whole result of an update of `before` built as these sets: the
+    model pruned to the states reachable from the local states, the states
+    pruned away, and the edges added and removed per agent."""
     seeds = set()
     for sts in locs.values():
         seeds |= set(sts)
     kept = _bfs(seeds, relations)
-    return KripkeModel.build(
+    after = KripkeModel.build(
         states={s for s in states if s in kept},
         agents=agents, props=props,
         relations={a: {(s, t) for (s, t) in edges if s in kept and t in kept}
                    for a, edges in relations.items()},
         valuation={p: {s for s in sts if s in kept} for p, sts in valuation.items()},
         locals={a: {s for s in sts if s in kept} for a, sts in locs.items()})
+    return (after, states - after.states, *edge_counts(before, after))
 
 
 def oracle_update_offline(model, j):
     agents = model.agents - {j}
     return _pruned(
-        set(model.states), agents, model.props,
+        model, set(model.states), agents, model.props,
         {a: set(model.relations[a]) for a in agents},
         {p: set(sts) for p, sts in model.valuation.items()},
         {a: set(model.locals[a]) for a in agents})
@@ -101,9 +119,8 @@ def oracle_update_online(model, j, new_locals):
     relations[j] = {(s, t) for s in model.states for t in model.states}
     locs = {a: set(sts) for a, sts in model.locals.items()}
     locs[j] = set(new_locals)
-    return KripkeModel.build(
-        states=model.states, agents=model.agents | {j}, props=model.props,
-        relations=relations, valuation=model.valuation, locals=locs)
+    return _pruned(model, set(model.states), model.agents | {j}, model.props, relations,
+                   {p: set(sts) for p, sts in model.valuation.items()}, locs)
 
 
 def _act(s):
@@ -134,7 +151,7 @@ def oracle_lie_offline(model, i, j):
             locs[k] = {_act(s) for s in model.locals[k]}
     valuation = {p: {_act(s) for s in sts} | {_shift(s) for s in sts}
                  for p, sts in model.valuation.items()}
-    return _pruned(states, model.agents, model.props, relations, valuation, locs)
+    return _pruned(model, states, model.agents, model.props, relations, valuation, locs)
 
 
 def oracle_lie_online(model, i, j, new_locals):
@@ -159,7 +176,12 @@ def oracle_lie_online(model, i, j, new_locals):
     locs[j] = {_shift(s) for s in new_locals}
     valuation = {p: {_act(s) for s in sts} | {_shift(s) for s in sts}
                  for p, sts in model.valuation.items()}
-    return _pruned(states, model.agents | {j}, model.props, relations, valuation, locs)
+    return _pruned(model, states, model.agents | {j}, model.props, relations, valuation,
+                   locs)
+
+
+ORACLES = {"online": oracle_update_online, "offline": oracle_update_offline,
+           "lie_offline": oracle_lie_offline, "lie_online": oracle_lie_online}
 
 
 def oracle_frame_witnesses(relation, domain):
@@ -194,10 +216,7 @@ def oracle_product(model, tags, wiring, newcomer=None, new_locals=()):
     puts agent a's local states in event `home` and each edge (s, t) out of
     event e at ((s, e), (t, links[e])), or nowhere where that is None;
     agents left out are dropped.  A `newcomer` gets the universal relation
-    on the last event and `new_locals` there.
-
-    Returns the pruned model, the copies pruned away, and the edges added
-    and removed per agent, as set differences of edges by name."""
+    on the last event and `new_locals` there."""
     def copy(s, e):
         return s if tags[e] is None else s.tagged(tags[e])
 
@@ -218,13 +237,7 @@ def oracle_product(model, tags, wiring, newcomer=None, new_locals=()):
         agents.add(newcomer)
     valuation = {p: {copy(s, e) for s in sts for e in events}
                  for p, sts in model.valuation.items()}
-    after = _pruned(states, agents, model.props, relations, valuation, locs)
-    added, removed = {}, {}
-    for a in model.agents | agents:
-        old = {(s.name, t.name) for (s, t) in model.relations.get(a, ())}
-        new = {(s.name, t.name) for (s, t) in after.relations.get(a, ())}
-        added[a], removed[a] = len(new - old), len(old - new)
-    return after, states - after.states, added, removed
+    return _pruned(model, states, agents, model.props, relations, valuation, locs)
 
 
 def oracle_doc(model):

@@ -4,12 +4,11 @@ dropped or renamed.  Traced CLI updates are checked against the files they
 write."""
 
 import importlib.util
-import io
 import os
 import shutil
 
-from epk import cli, model, serialize
-from helpers import fixture_path
+from epk import model, serialize
+from helpers import fixture_path, run_cli
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
 
@@ -47,13 +46,12 @@ def test_traced_updates_count_the_edges_they_write(tmp_path):
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracer = tracing.Tracer()
-    assert cli.main([src, "show"], out=io.StringIO()) == 0
+    assert run_cli(src, "show")[0] == 0
     try:
         tracer.install()
         for name, argv in steps.items():
-            err = io.StringIO()
-            assert cli.main([src, "update", *argv, "-o", str(tmp_path / f"{name}.json")],
-                            out=io.StringIO(), err=err) == 0, err.getvalue()
+            code, _, err = run_cli(src, "update", *argv, "-o", str(tmp_path / f"{name}.json"))
+            assert code == 0, err
     finally:
         tracer.uninstall()
     metrics = tracer.metrics(rounds=1)

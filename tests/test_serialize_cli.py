@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import random
@@ -21,8 +20,7 @@ from epk import (DocumentError, KripkeModel, ModelError, StateId, doc_to_model, 
                  dumps_model, export_dot, lie_offline, lie_online, load_model, save_model,
                  serialize, update_offline, update_online)
 from epk import cli
-from epk.cli import main
-from helpers import figure2, fixture_path, random_sparse_model
+from helpers import figure2, fixture_path, random_sparse_model, run_cli
 from test_fuzz import json_values
 
 
@@ -364,8 +362,7 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(serialize, "_model_pieces", broken)
         with pytest.raises(RuntimeError, match="serializer failed"):
-            main([str(src), "update", "offline", "g", "--in-place"],
-                 out=io.StringIO(), err=io.StringIO())
+            run_cli(str(src), "update", "offline", "g", "--in-place")
         assert src.read_bytes() == before
         assert os.listdir(tmp_path) == ["m.json"]
 
@@ -606,12 +603,6 @@ class TestDot:
             else:
                 assert '"' not in line, line
         assert {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in ids} == set(names)
-
-
-def run_cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    code = main(list(argv), out=out, err=err)
-    return code, out.getvalue(), err.getvalue()
 
 
 class TestCli:

@@ -2,12 +2,12 @@
 
 Each step applies one update, with a random liar, target or newcomer, to
 the model the chain has reached, so lies stack their lineage tags several
-deep ("1@act@shift@act").  After every step the model must equal the
-step-by-step oracle of `tests/oracles`, keep the laws of `tests/laws` for
-that update, and survive a round trip through its canonical document; now and
-then the step goes through `cli.main` on a file instead."""
+deep ("1@act@shift@act").  After every step the whole result (model,
+discarded states and edge counts) must equal the step-by-step oracle's of
+`tests/oracles` and keep the laws of that update, as `laws.check_result`
+checks, and the model must survive a round trip through its canonical
+document; now and then the step goes through `cli.main` on a file too."""
 
-import io
 import json
 import os
 import random
@@ -20,14 +20,12 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import oracles
-from epk import cli, doc_to_model, dumps_model, load_model, save_model
-from helpers import random_formula, random_local_kd45_model
-from laws import UPDATES, check_laws
+from epk import doc_to_model, dumps_model, load_model, save_model
+from helpers import random_formula, random_local_kd45_model, run_cli
+from laws import UPDATES, check_result
 
 MAX_STATES = 24  # a lie doubles the states at most; no lie starts above this
 MAX_AGENTS = 4  # no newcomer joins above this
-ORACLES = {"online": oracles.oracle_update_online, "offline": oracles.oracle_update_offline,
-           "lie_offline": oracles.oracle_lie_offline, "lie_online": oracles.oracle_lie_online}
 
 
 class UpdateChains(RuleBasedStateMachine):
@@ -50,23 +48,21 @@ class UpdateChains(RuleBasedStateMachine):
 
     def step(self, via_cli, kind, argv, *args):
         """Apply the update `kind` by `args`, which `argv` also spells for
-        the command line: through `cli.main` on a file when `via_cli`.  The
-        result must equal the oracle's and keep the laws of `kind`."""
+        the command line: through `cli.main` on a file too when `via_cli`.
+        The result must pass `check_result` for `kind`."""
         before = self.model
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # lie_offline warns of a lost certainty
-            after = UPDATES[kind](before, *args).model
+            result = UPDATES[kind](before, *args)
             if via_cli:
                 path = os.path.join(self.dir, "m.json")
                 save_model(before, path)
-                out, err = io.StringIO(), io.StringIO()
-                code = cli.main([path, "update", *argv, "--in-place"], out=out, err=err)
-                assert (code, err.getvalue()) == (0, ""), err.getvalue()
-                assert load_model(path) == after
-        assert after == ORACLES[kind](before, *args)
+                code, _, err = run_cli(path, "update", *argv, "--in-place")
+                assert (code, err) == (0, ""), err
+                assert load_model(path) == result.model
         formulas = [random_formula(self.rng, before.agents, before.props, 2) for _ in range(2)]
-        assert check_laws(kind, before, after, args, formulas) is None
-        self.model = after
+        assert check_result(kind, before, args, result, formulas) is None
+        self.model = result.model
 
     def states(self, data):
         names = sorted(self.model.states)
