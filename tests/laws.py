@@ -1,6 +1,7 @@
 """The paper's laws of its four updates, written once, and the one check
-of an update's whole result: `check_result` compares it with the oracle's
-of `tests/oracles`, then checks the laws.
+of an update's whole result: `check_result` compares it, field by field in
+plain form, with what `bench/reference.py` makes of the same update
+(`oracles.ORACLES`), then checks the laws.
 
 `LAWS[kind]` lists the named laws of each update kind.  A law is a
 function of (before, after, args, formulas): the models before and after
@@ -10,9 +11,10 @@ formula) at which it fails, or None; a law of the states returns (None,
 what it found).  In a law's formula text, `k` is each agent of its group.
 """
 
+import reference
 from epk import (UpdateResult, holds_for_agent, lie_offline, lie_online, parse, unparse,
                  update_offline, update_online)
-from oracles import ORACLES, agents_of
+from oracles import ORACLES, agents_of, plain
 
 UPDATES = {"online": update_online, "offline": update_offline,
            "lie_offline": lie_offline, "lie_online": lie_online}
@@ -90,16 +92,27 @@ LAWS = {
 }
 
 
+def differs(result, expected):
+    """The first field of `result`, an `UpdateResult`, that differs from
+    `expected`, an oracle's plain (model, discarded names, added, removed):
+    ("the oracle's model", what `reference.same_model` finds differs), or
+    ("the oracle's " + field, result's value by name, oracle's value).
+    None when every field agrees."""
+    if (why := reference.same_model(plain(result.model), expected[0])) is not None:
+        return "the oracle's model", why
+    got = ({s.name for s in result.discarded_states}, result.added_edges, result.removed_edges)
+    for field, value, want in zip(UpdateResult._fields[1:], got, expected[1:], strict=True):
+        if value != want:
+            return f"the oracle's {field}", value, want
+
+
 def check_result(kind, before, args, result, formulas=()):
-    """The first field of `result`, the update `kind` of `before` by `args`
-    (its arguments after the model), that differs from the oracle's, as
-    ("the oracle's " + field, result's value, oracle's value); else the
-    first (law, agent, formula) at which `result.model` breaks a law of
+    """`differs(result, oracle's)` for `result`, the update `kind` of
+    `before` by `args` (its arguments after the model); else the first
+    (law, agent, formula) at which `result.model` breaks a law of
     `LAWS[kind]`; else None."""
-    expected = ORACLES[kind](before, *args)
-    for field, got, want in zip(UpdateResult._fields, result, expected, strict=True):
-        if got != want:
-            return f"the oracle's {field}", got, want
+    if (failure := differs(result, ORACLES[kind](before, *args))) is not None:
+        return failure
     roles = dict(zip("ij" if kind.startswith("lie") else "j", args))
     for name, law in LAWS[kind]:
         if (failure := law(before, result.model, roles, formulas)) is not None:

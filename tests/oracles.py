@@ -1,52 +1,57 @@
-"""Independent reference implementations used only as test oracles.
+"""The tests' oracles: what each result should be, worked out apart from
+the production modules.
 
-The evaluator below is a direct, unmemoized transcription of the
-satisfaction clauses; the update oracles follow the operator constructions
-step by step, materializing both replicas in full and pruning at the end.
-Each returns the whole result of its update, as `_pruned` makes it: the
-model, the states pruned away, and the edges added and removed per agent.
-They deliberately share no code with the production modules.
+Truth values and update results come from `bench/reference.py`, which
+also judges every benchmark run and imports nothing from `epk`: it works
+on plain string sets (`gen.Plain`) and tuple formulas.  `plain` turns a
+model into that form through its canonical document, `as_tuple` turns a
+formula into the reference's tuples, and `labelling` gives the states
+where a formula holds.  `ORACLES[kind]` gives the whole result of an
+update as the reference makes it: the plain model, the names of the
+states pruned away, and the edges added and removed per agent.
+`oracle_product` builds a product update the same way, over plain sets.
+`oracle_doc`, `oracle_dot` and `oracle_frame_witnesses` are written here
+from a model's set views.  Of `epk`, only the formula nodes are imported.
 """
 
-from collections import deque
-
+import reference
 from epk.formulas import (And, Believes, CertainAgent, Implies, Not, Or,
                           PossibleAgent, Prop)
-from epk.model import KripkeModel
+from gen import Plain
+
+_KINDS = {Prop: "prop", Not: "not", And: "and", Or: "or", Implies: "imp", Believes: "B",
+          CertainAgent: "C", PossibleAgent: "P"}
 
 
-def eval_at(model, state, f):
-    """Unmemoized, directly-recursive satisfaction."""
-    if isinstance(f, Prop):
-        return state in model.valuation[f.name]
-    if isinstance(f, Not):
-        return not eval_at(model, state, f.sub)
-    if isinstance(f, And):
-        return eval_at(model, state, f.left) and eval_at(model, state, f.right)
-    if isinstance(f, Or):
-        return eval_at(model, state, f.left) or eval_at(model, state, f.right)
-    if isinstance(f, Implies):
-        return (not eval_at(model, state, f.left)) or eval_at(model, state, f.right)
-    if isinstance(f, Believes):
-        return all(eval_at(model, t, f.sub)
-                   for (s, t) in model.relations[f.agent] if s == state)
-    if isinstance(f, CertainAgent):
-        return all(_has_edge_from(model, f.about, t)
-                   for (s, t) in model.relations[f.agent] if s == state)
-    if isinstance(f, PossibleAgent):
-        return any(_has_edge_from(model, f.about, t)
-                   for (s, t) in model.relations[f.agent] if s == state)
-    raise TypeError(f)
+def plain(model):
+    """`model` as the reference's plain value, read from its canonical document."""
+    return reference.plain_from_doc(oracle_doc(model))
 
 
-def _has_edge_from(model, agent, state):
-    if agent not in model.agents:
-        return False
-    return any(s == state for (s, t) in model.relations[agent])
+def labelling(model, f):
+    """The names of the states of `model` where `f` holds, as the
+    reference's `Labeller` finds them."""
+    return reference.Labeller(plain(model)).sat(as_tuple(f))
 
 
-def eval_for_agent(model, agent, f):
-    return all(eval_at(model, s, f) for s in model.locals[agent])
+def as_tuple(f):
+    """`f` as the reference's tuple formula, one tuple per distinct node, so
+    a subformula that `f` shares is shared in the tuple too.  The fields of
+    each node, children in place, follow its kind, as in ("B", i, f)."""
+    done = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in done:
+            continue
+        fields = [getattr(g, name) for name in g.__match_args__]
+        kids = [x for x in fields if not isinstance(x, str) and id(x) not in done]
+        if kids:  # g again, under its children
+            stack += (g, *kids)
+            continue
+        done[id(g)] = (_KINDS[type(g)], *(x if isinstance(x, str) else done[id(x)]
+                                          for x in fields))
+    return done[id(f)]
 
 
 def agents_of(f):
@@ -62,126 +67,41 @@ def agents_of(f):
     return agents_of(f.left) | agents_of(f.right)
 
 
-def _bfs(seeds, relations):
-    seen = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        u = queue.popleft()
-        for edges in relations.values():
-            for (s, t) in edges:
-                if s == u and t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-    return seen
-
-
 def edge_counts(before, after):
-    """Per agent of either model, the number of edges `after` adds to
+    """Per agent of either plain model, the number of edges `after` adds to
     `before` and the number it removes, as set differences of edges by
     state name."""
     added, removed = {}, {}
-    for a in before.agents | after.agents:
-        old = {(s.name, t.name) for (s, t) in before.relations.get(a, ())}
-        new = {(s.name, t.name) for (s, t) in after.relations.get(a, ())}
+    for a in {*before.agents, *after.agents}:
+        old, new = before.rel.get(a, set()), after.rel.get(a, set())
         added[a], removed[a] = len(new - old), len(old - new)
     return added, removed
 
 
-def _pruned(before, states, agents, props, relations, valuation, locs):
-    """The whole result of an update of `before` built as these sets: the
-    model pruned to the states reachable from the local states, the states
-    pruned away, and the edges added and removed per agent."""
-    seeds = set()
-    for sts in locs.values():
-        seeds |= set(sts)
-    kept = _bfs(seeds, relations)
-    after = KripkeModel.build(
-        states={s for s in states if s in kept},
-        agents=agents, props=props,
-        relations={a: {(s, t) for (s, t) in edges if s in kept and t in kept}
-                   for a, edges in relations.items()},
-        valuation={p: {s for s in sts if s in kept} for p, sts in valuation.items()},
-        locals={a: {s for s in sts if s in kept} for a, sts in locs.items()})
-    return (after, states - after.states, *edge_counts(before, after))
+def _whole(before, made, after):
+    """The whole result of an update of the plain model `before` that made
+    the states `made` and kept `after` of them: `after`, the names of the
+    states pruned away, and the edges added and removed per agent."""
+    return (after, set(made) - set(after.states), *edge_counts(before, after))
 
 
-def oracle_update_offline(model, j):
-    agents = model.agents - {j}
-    return _pruned(
-        model, set(model.states), agents, model.props,
-        {a: set(model.relations[a]) for a in agents},
-        {p: set(sts) for p, sts in model.valuation.items()},
-        {a: set(model.locals[a]) for a in agents})
+def _update(construct, tags):
+    """The oracle of the update that `construct`s its plain result from a
+    plain model and the update's arguments, sets of states by name.  It
+    makes a copy of each state per tag of `tags`, None keeping the name."""
+    def oracle(model, *args):
+        before = plain(model)
+        after = construct(before, *(a if isinstance(a, str) else {s.name for s in a}
+                                    for a in args))
+        return _whole(before, [s if tag is None else reference._tag(s, tag)
+                               for tag in tags for s in before.states], after)
+    return oracle
 
 
-def oracle_update_online(model, j, new_locals):
-    relations = {a: set(edges) for a, edges in model.relations.items()}
-    relations[j] = {(s, t) for s in model.states for t in model.states}
-    locs = {a: set(sts) for a, sts in model.locals.items()}
-    locs[j] = set(new_locals)
-    return _pruned(model, set(model.states), model.agents | {j}, model.props, relations,
-                   {p: set(sts) for p, sts in model.valuation.items()}, locs)
-
-
-def _act(s):
-    return s.tagged("act")
-
-
-def _shift(s):
-    return s.tagged("shift")
-
-
-def oracle_lie_offline(model, i, j):
-    states = {_act(s) for s in model.states} | {_shift(s) for s in model.states}
-    misinformed = model.agents - {i, j}
-    relations = {}
-    for k in model.agents:
-        shift_part = set() if k == j else {(_shift(s), _shift(t))
-                                           for (s, t) in model.relations[k]}
-        act_part = set() if k in misinformed else {(_act(s), _act(t))
-                                                   for (s, t) in model.relations[k]}
-        addlinks = ({(_act(s), _shift(t)) for (s, t) in model.relations[k]}
-                    if k in misinformed else set())
-        relations[k] = act_part | shift_part | addlinks
-    locs = {}
-    for k in model.agents:
-        if k in misinformed:
-            locs[k] = {_shift(s) for s in model.locals[k]}
-        else:
-            locs[k] = {_act(s) for s in model.locals[k]}
-    valuation = {p: {_act(s) for s in sts} | {_shift(s) for s in sts}
-                 for p, sts in model.valuation.items()}
-    return _pruned(model, states, model.agents, model.props, relations, valuation, locs)
-
-
-def oracle_lie_online(model, i, j, new_locals):
-    states = {_act(s) for s in model.states} | {_shift(s) for s in model.states}
-    shift_states = {_shift(s) for s in model.states}
-    misinformed = model.agents - {i}
-    relations = {}
-    for k in model.agents:
-        shift_part = {(_shift(s), _shift(t)) for (s, t) in model.relations[k]}
-        act_part = (set() if k in misinformed
-                    else {(_act(s), _act(t)) for (s, t) in model.relations[k]})
-        addlinks = ({(_act(s), _shift(t)) for (s, t) in model.relations[k]}
-                    if k in misinformed else set())
-        relations[k] = act_part | shift_part | addlinks
-    relations[j] = {(s, t) for s in shift_states for t in shift_states}
-    locs = {}
-    for k in model.agents:
-        if k in misinformed:
-            locs[k] = {_shift(s) for s in model.locals[k]}
-        else:
-            locs[k] = {_act(s) for s in model.locals[k]}
-    locs[j] = {_shift(s) for s in new_locals}
-    valuation = {p: {_act(s) for s in sts} | {_shift(s) for s in sts}
-                 for p, sts in model.valuation.items()}
-    return _pruned(model, states, model.agents | {j}, model.props, relations, valuation,
-                   locs)
-
-
-ORACLES = {"online": oracle_update_online, "offline": oracle_update_offline,
-           "lie_offline": oracle_lie_offline, "lie_online": oracle_lie_online}
+ORACLES = {"online": _update(reference.online, (None,)),
+           "offline": _update(reference.offline, (None,)),
+           "lie_offline": _update(reference.lie_offline, ("act", "shift")),
+           "lie_online": _update(reference.lie_online, ("act", "shift"))}
 
 
 def oracle_frame_witnesses(relation, domain):
@@ -210,34 +130,33 @@ def oracle_frame_witnesses(relation, domain):
 
 
 def oracle_product(model, tags, wiring, newcomer=None, new_locals=()):
-    """A product update with an action model of one event per tag, built
-    in full and pruned at the end.  Copy (s, e) is named s tagged
-    `tags[e]`, or s itself for a tag of None.  `wiring[a] = (home, links)`
-    puts agent a's local states in event `home` and each edge (s, t) out of
-    event e at ((s, e), (t, links[e])), or nowhere where that is None;
-    agents left out are dropped.  A `newcomer` gets the universal relation
-    on the last event and `new_locals` there."""
+    """The whole result, as `ORACLES` give it, of a product update with an
+    action model of one event per tag, built in full over plain sets and
+    pruned at the end by `reference._prune`.  Copy (s, e) is named s
+    tagged `tags[e]`, or s itself for a tag of None.  `wiring[a] = (home, links)` puts agent a's
+    local states in event `home` and each edge (s, t) out of event e at
+    ((s, e), (t, links[e])), or nowhere where that is None; agents left
+    out are dropped.  A `newcomer` gets the universal relation on the
+    last event and `new_locals` there."""
     def copy(s, e):
-        return s if tags[e] is None else s.tagged(tags[e])
+        return s if tags[e] is None else reference._tag(s, tags[e])
 
-    events = range(len(tags))
-    states = {copy(s, e) for s in model.states for e in events}
-    relations, locs = {}, {}
+    m = plain(model)
+    events, last = range(len(tags)), len(tags) - 1
+    rel, loc = {}, {}
     for a, (home, links) in wiring.items():
-        relations[a] = {(copy(s, e), copy(t, links[e]))
-                        for (s, t) in model.relations[a]
-                        for e in events if links[e] is not None}
-        locs[a] = {copy(s, home) for s in model.locals[a]}
-    agents = set(wiring)
+        rel[a] = {(copy(s, e), copy(t, links[e]))
+                  for (s, t) in m.rel[a] for e in events if links[e] is not None}
+        loc[a] = {copy(s, home) for s in m.loc[a]}
     if newcomer is not None:
-        last = len(tags) - 1
-        block = [copy(s, last) for s in model.states]
-        relations[newcomer] = {(s, t) for s in block for t in block}
-        locs[newcomer] = {copy(s, last) for s in new_locals}
-        agents.add(newcomer)
-    valuation = {p: {copy(s, e) for s in sts for e in events}
-                 for p, sts in model.valuation.items()}
-    return _pruned(model, states, agents, model.props, relations, valuation, locs)
+        block = [copy(s, last) for s in m.states]
+        rel[newcomer] = {(s, t) for s in block for t in block}
+        loc[newcomer] = {copy(s.name, last) for s in new_locals}
+    made = [copy(s, e) for s in m.states for e in events]
+    val = {p: {copy(s, e) for s in v for e in events} for p, v in m.val.items()}
+    after = reference._prune(Plain(made, list(rel), m.props, rel, val, loc, m.meta),
+                             set().union(*loc.values()))
+    return _whole(m, made, after)
 
 
 def oracle_doc(model):

@@ -1,4 +1,8 @@
-"""The names `epk` exports: a name added or retired is an edit here."""
+"""The names `epk` exports: a name added or retired is an edit here.  And
+the one part of `epk` the tests' oracles may import: its formula nodes."""
+
+import ast
+import os
 
 import epk
 
@@ -18,3 +22,15 @@ def test_the_public_names_are_these():
     assert sorted(epk.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(epk, name) is not None
+
+
+def test_the_oracles_import_only_the_formula_nodes_of_epk():
+    # Expected truths and update results come from bench/reference.py,
+    # which imports nothing from epk: an oracle that read models through
+    # epk could hide a fault of epk's in the value it expects.
+    with open(os.path.join(os.path.dirname(__file__), "oracles.py"), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {m for m in modules if m and m.split(".")[0] == "epk"} == {"epk.formulas"}

@@ -3,20 +3,14 @@ times by name.  Installing it here fails as soon as one of those names is
 dropped or renamed.  Traced CLI updates are checked against the files they
 write."""
 
-import importlib.util
-import os
 import shutil
 
+import tracing
 from epk import model, serialize
 from helpers import fixture_path, run_cli
 
-TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py")
-
 
 def test_tracer_installs_and_uninstalls():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     build, load = model.KripkeModel.__dict__["build"], serialize.load_model
     tracer = tracing.Tracer()
     try:
@@ -42,9 +36,6 @@ def test_traced_updates_count_the_edges_they_write(tmp_path):
              "lie_online": ["lie-online", "--liar", "m", "--new", "g", "--locals", "3"],
              "update_offline": ["offline", "f"],
              "lie_offline": ["lie-offline", "--liar", "m", "--target", "f"]}
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
     tracer = tracing.Tracer()
     assert run_cli(src, "show")[0] == 0
     try:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from epk import (KripkeModel, ModelError, StateId, holds_at, holds_for_agent,
                  holds_globally, parse, presence_at, sat, semantics)
 from epk.formulas import And, Believes, CertainAgent, Implies, Not, Or, PossibleAgent, Prop
@@ -12,6 +11,7 @@ from epk.frames import check_properties
 from epk.semantics import _least_failure
 from helpers import (best_time, figure2, random_formula, random_formula_dag,
                      random_local_kd45_model, random_sparse_model)
+from oracles import labelling
 
 
 def S(name):
@@ -97,8 +97,9 @@ class TestSat:
         f = Or(with_g(g, Prop("q")), Believes("b", with_g(g, Prop("r"))))
         for seed in range(200):
             m = random_sparse_model(random.Random(seed), 30)
+            truth = labelling(m, f)
             for s in m.states:
-                assert holds_at(m, s, f) == oracles.eval_at(m, s, f), (seed, s)
+                assert holds_at(m, s, f) == (s.name in truth), (seed, s)
 
     def test_pointed_sat_agrees_with_oracle_on_formula_dags(self):
         # Operands shared under different parents, on either side of a
@@ -107,8 +108,9 @@ class TestSat:
             rng = random.Random(seed)
             m = random_sparse_model(rng, 30)
             f = random_formula_dag(rng, m.agents, m.props, 8)
+            truth = labelling(m, f)
             for k, s in enumerate(m.index.order):
-                assert bool(sat(m, f, 1 << k)) == oracles.eval_at(m, s, f), (seed, s)
+                assert bool(sat(m, f, 1 << k)) == (s.name in truth), (seed, s)
 
     def test_leftmost_unknown_symbol_is_reported(self):
         with pytest.raises(ModelError, match="zzz"):
@@ -210,8 +212,9 @@ class TestLeastFailure:
         within = {"none": 0, "one": 1 << rng.randrange(n), "some": rng.getrandbits(n),
                   "full": idx.full, "locals": idx.locals[rng.choice(sorted(m.agents))]}[scope]
         missed = within & ~sat(m, f)
+        truth = labelling(m, f)
         least = next((1 << k for k, s in enumerate(idx.order)
-                      if within >> k & 1 and not oracles.eval_at(m, s, f)), 0)
+                      if within >> k & 1 and s.name not in truth), 0)
         assert _least_failure(m, f, within) == missed & -missed == least
 
 
@@ -264,12 +267,13 @@ class TestProperties:
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=100, deadline=None)
-    def test_agrees_with_unmemoized_oracle(self, seed):
+    def test_agrees_with_the_reference_labelling(self, seed):
         rng = random.Random(seed)
         m = random_local_kd45_model(rng)
         f = random_formula(rng, m.agents, m.props, depth=4, extra_about=["zz"])
+        truth = labelling(m, f)
         for s in m.states:
-            assert holds_at(m, s, f) == oracles.eval_at(m, s, f)
+            assert holds_at(m, s, f) == (s.name in truth)
 
 
 class TestLargerModels:
@@ -279,12 +283,12 @@ class TestLargerModels:
         rng = random.Random(seed)
         m = random_sparse_model(rng, rng.randint(30, 50), max_degree=3)
         f = random_formula(rng, m.agents, m.props, depth=3, extra_about=["zz"])
-        truth = {s: oracles.eval_at(m, s, f) for s in m.states}
+        truth = labelling(m, f)
         for s in m.states:
-            assert holds_at(m, s, f) == truth[s]
+            assert holds_at(m, s, f) == (s.name in truth)
         for a in m.agents:
-            assert holds_for_agent(m, a, f) == oracles.eval_for_agent(m, a, f)
-        assert holds_globally(m, f) == all(truth.values())
+            assert holds_for_agent(m, a, f) == ({s.name for s in m.locals[a]} <= truth)
+        assert holds_globally(m, f) == (len(truth) == len(m.states))
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=15, deadline=None)
@@ -295,10 +299,11 @@ class TestLargerModels:
         m = random_sparse_model(rng, rng.randint(300, 500), max_degree=3)
         for _ in range(3):
             f = random_formula(rng, m.agents, m.props, depth=3, extra_about=["zz"])
-            for s in rng.sample(sorted(m.states), 10):
-                assert holds_at(m, s, f) == oracles.eval_at(m, s, f)
+            truth = labelling(m, f)
+            for s in m.states:
+                assert holds_at(m, s, f) == (s.name in truth)
             for a in sorted(m.agents):
-                assert holds_for_agent(m, a, f) == oracles.eval_for_agent(m, a, f)
+                assert holds_for_agent(m, a, f) == ({s.name for s in m.locals[a]} <= truth)
 
 
 class TestComplexity:

@@ -3,10 +3,11 @@
 Each step applies one update, with a random liar, target or newcomer, to
 the model the chain has reached, so lies stack their lineage tags several
 deep ("1@act@shift@act").  After every step the whole result (model,
-discarded states and edge counts) must equal the step-by-step oracle's of
-`tests/oracles` and keep the laws of that update, as `laws.check_result`
-checks, and the model must survive a round trip through its canonical
-document; now and then the step goes through `cli.main` on a file too."""
+discarded states and edge counts) must equal, in plain form, what
+`bench/reference.py` makes of the same update and keep the laws of that
+update, as `laws.check_result` checks, and the model must survive a round
+trip through its canonical document; now and then the step goes through
+`cli.main` on a file too."""
 
 import json
 import os
